@@ -258,7 +258,7 @@ pub(crate) fn sample_loop(
         }
     };
     samples.push(observe(&mut last_ticks, &mut last_t));
-    while !done.load(Ordering::Relaxed) {
+    loop {
         // Sleep the interval in ≤ 20 ms slices: a run finishing mid-sleep
         // still gets its shutdown sample within one slice.
         let mut slept = StdDuration::ZERO;
@@ -267,9 +267,14 @@ pub(crate) fn sample_loop(
             std::thread::sleep(slice);
             slept += slice;
         }
+        // Read `done` before sampling, so the last sample is always taken
+        // after shutdown was seen — even when it was set before the loop.
+        let finished = done.load(Ordering::Relaxed);
         samples.push(observe(&mut last_ticks, &mut last_t));
+        if finished {
+            return samples;
+        }
     }
-    samples
 }
 
 /// Background progress reporter run by the executor when
@@ -312,6 +317,17 @@ pub(crate) fn progress_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shutdown_before_first_tick_still_takes_a_final_sample() {
+        let done = Arc::new(AtomicBool::new(true));
+        let samples = sample_loop(StdDuration::from_millis(500), Vec::new(), done);
+        assert!(
+            samples.len() >= 2,
+            "expected a t≈0 sample and a shutdown sample, got {}",
+            samples.len()
+        );
+    }
 
     #[test]
     fn latency_stats_from_empty_is_zero() {

@@ -4,21 +4,21 @@
 //! dataflow graph should be refused *before* any workload is generated, not
 //! discovered as a worker panic deep into a run. [`check`] pushes every
 //! evaluation pattern of Section 5 through the full static-analysis stack —
-//! [`cep2asp::lint_plan`] on the translated plan and [`asp::validate`] on
+//! [`cep2asp::typecheck()`] on the translated plan and [`asp::validate`] on
 //! the built dataflow graph — for every mapper-option variant the
 //! experiments use.
 
 use std::collections::HashMap;
 
 use asp::event::{Event, EventType};
-use cep2asp::{build_pipeline, lint_plan, translate, MapperOptions, PhysicalConfig};
+use cep2asp::{build_pipeline, translate, typecheck, MapperOptions, PhysicalConfig};
 use sea::pattern::Pattern;
 use workloads::{HUM, PM10, PM25, Q, TEMP, V};
 
 use crate::patterns;
 
 /// The mapper-option variants the experiments exercise.
-fn option_variants() -> Vec<(&'static str, MapperOptions)> {
+pub fn option_variants() -> Vec<(&'static str, MapperOptions)> {
     vec![
         ("plain", MapperOptions::plain()),
         ("O1", MapperOptions::o1()),
@@ -29,7 +29,7 @@ fn option_variants() -> Vec<(&'static str, MapperOptions)> {
 }
 
 /// The evaluation patterns of Section 5 at representative parameters.
-fn pattern_suite() -> Vec<(&'static str, Pattern)> {
+pub fn pattern_suite() -> Vec<(&'static str, Pattern)> {
     vec![
         ("SEQ1(2)", patterns::seq1(0.1, 15)),
         ("ITER3_1(1)", patterns::iter_threshold(3, 0.1, 15)),
@@ -52,7 +52,7 @@ fn empty_sources() -> HashMap<EventType, Vec<Event>> {
 /// Statically validate every (pattern, options) pair the experiments run.
 ///
 /// Returns `Err` with a human-readable report naming the pattern, the
-/// option variant, and every diagnostic, if any pair fails plan linting or
+/// option variant, and every diagnostic, if any pair fails the plan check or
 /// graph validation. Translation failures for unsupported combinations
 /// (e.g. Kleene+ without O2) are not errors — the experiments skip those
 /// combinations too.
@@ -66,10 +66,10 @@ pub fn check() -> Result<(), String> {
                 Ok(p) => p,
                 Err(_) => continue, // unsupported combination; skipped by experiments too
             };
-            let lints = lint_plan(&plan);
-            if !lints.is_empty() {
-                for l in &lints {
-                    problems.push(format!("{pname} [{oname}]: {l}"));
+            let checked = typecheck(&plan);
+            if !checked.is_clean() {
+                for d in &checked.diagnostics {
+                    problems.push(format!("{pname} [{oname}]: {d}"));
                 }
                 continue;
             }

@@ -215,16 +215,12 @@ fn analyze_node(
     diags: &mut Vec<AnalyzeDiagnostic>,
 ) -> AnalyzedNode {
     let w_min = w.size_minutes();
+    let label = node.label();
     match node {
-        PlanNode::Scan {
-            type_name,
-            leaf,
-            var,
-            ..
-        } => {
+        PlanNode::Scan { leaf, var, .. } => {
             let rate = ann.rate(leaf.etype) * ann.selectivity(*var);
             AnalyzedNode {
-                label: format!("Scan {type_name} [e{}]", var + 1),
+                label,
                 estimate: NodeEstimate {
                     out_rate: rate,
                     per_window: rate * w_min,
@@ -249,7 +245,6 @@ fn analyze_node(
         } => {
             let l = analyze_node(left, w, ann, cfg, diags);
             let r = analyze_node(right, w, ann, cfg, diags);
-            let label = format!("Join {windowing} [{partitioning}]");
             let le = &l.estimate;
             let re = &r.estimate;
 
@@ -415,7 +410,7 @@ fn analyze_node(
                     .unwrap_or(0),
             };
             AnalyzedNode {
-                label: "Union".to_string(),
+                label,
                 estimate: est,
                 children,
             }
@@ -427,7 +422,6 @@ fn analyze_node(
             partitioning,
         } => {
             let c = analyze_node(input, w, ann, cfg, diags);
-            let label = format!("Aggregate count ≥ {m} [{partitioning}]");
             let ce = &c.estimate;
             let keys = match partitioning {
                 Partitioning::ByKey => ann.key_fanout.max(1.0),
@@ -481,7 +475,6 @@ fn analyze_node(
             w: hold,
         } => {
             let c = analyze_node(trigger, w, ann, cfg, diags);
-            let label = format!("NextOccurrence(¬{})", marker.type_name);
             let ce = &c.estimate;
             let hold_min = hold.millis().max(0) as f64 / 60_000.0;
             let marker_rate = ann.rate(marker.etype);
@@ -503,12 +496,11 @@ fn analyze_node(
                 children: vec![c],
             }
         }
-        PlanNode::Project { input, layout } => {
+        PlanNode::Project { input, .. } => {
             // A pure stateless reorder: every estimate passes through.
             let c = analyze_node(input, w, ann, cfg, diags);
-            let cols: Vec<String> = layout.iter().map(|v| format!("e{}", v + 1)).collect();
             AnalyzedNode {
-                label: format!("Project [{}]", cols.join(", ")),
+                label,
                 estimate: NodeEstimate {
                     state_tuples: 0.0,
                     state_bytes: 0.0,
@@ -665,55 +657,41 @@ fn dedup_entry_bytes(arity: usize) -> f64 {
 /// Product of the sliding duplication factors of every sliding join in the
 /// subtree — the worst-case re-emission multiplicity of one distinct match.
 fn dup_product(node: &PlanNode) -> f64 {
+    let children = node.children().map(dup_product);
     match node {
-        PlanNode::Scan { .. } => 1.0,
+        // Each branch is its own match; the worst one bounds the union.
+        PlanNode::Union { .. } => children.fold(1.0, f64::max),
         PlanNode::Join {
-            left,
-            right,
-            windowing,
+            windowing: JoinWindowing::Sliding { size, slide },
             ..
         } => {
-            let own = match windowing {
-                JoinWindowing::Sliding { size, slide } => WindowSpec {
-                    size: *size,
-                    slide: *slide,
-                }
-                .duplication_factor(),
-                JoinWindowing::Interval { .. } => 1.0,
-            };
-            own * dup_product(left) * dup_product(right)
+            let own = WindowSpec {
+                size: *size,
+                slide: *slide,
+            }
+            .duplication_factor();
+            own * children.product::<f64>()
         }
-        PlanNode::Union { inputs } => inputs.iter().map(dup_product).fold(1.0, f64::max),
-        PlanNode::Aggregate { input, .. } => dup_product(input),
-        PlanNode::NextOccurrence { trigger, .. } => dup_product(trigger),
-        PlanNode::Project { input, .. } => dup_product(input),
+        _ => children.product(),
     }
 }
 
 /// Does the subtree consist only of scans, joins, and next-occurrence
 /// nodes (the shapes the anchor formula covers)?
 fn anchorable(node: &PlanNode) -> bool {
-    match node {
-        PlanNode::Scan { .. } => true,
-        PlanNode::Join { left, right, .. } => anchorable(left) && anchorable(right),
-        PlanNode::NextOccurrence { trigger, .. } => anchorable(trigger),
-        PlanNode::Project { input, .. } => anchorable(input),
-        PlanNode::Union { .. } | PlanNode::Aggregate { .. } => false,
-    }
+    !matches!(node, PlanNode::Union { .. } | PlanNode::Aggregate { .. })
+        && node.children().all(anchorable)
 }
 
 /// Upper bound on total tuples the node emits over the whole run.
 fn total_bound(node: &PlanNode, ctx: &BoundCtx<'_>) -> f64 {
     match node {
         PlanNode::Scan { etype, .. } => ctx.count(*etype),
-        PlanNode::Union { inputs } => inputs.iter().map(|i| total_bound(i, ctx)).sum(),
         PlanNode::Aggregate { input, window, .. } => {
             // ≤ one emission per (window, key) with ≥ 1 qualifying input:
             // Σ_w keys_w ≤ Σ_w inputs_w = total_inputs × ⌈W/s⌉.
             total_bound(input, ctx) * window.duplication_factor()
         }
-        PlanNode::NextOccurrence { trigger, .. } => total_bound(trigger, ctx),
-        PlanNode::Project { input, .. } => total_bound(input, ctx),
         PlanNode::Join { left, right, .. } => {
             if anchorable(node) {
                 anchor_bound(node, ctx) * dup_product(node)
@@ -723,6 +701,8 @@ fn total_bound(node: &PlanNode, ctx: &BoundCtx<'_>) -> f64 {
                 total_bound(left, ctx) * total_bound(right, ctx) * dup_product(node)
             }
         }
+        // Unions add their branches; the unary rest pass through.
+        _ => node.children().map(|c| total_bound(c, ctx)).sum(),
     }
 }
 
@@ -796,14 +776,6 @@ fn retained_bound(node: &PlanNode, ctx: &BoundCtx<'_>) -> f64 {
 /// bound is falsified by small inputs. Only the count ceilings are hard.
 fn keyed_run_bound(node: &PlanNode, ctx: &BoundCtx<'_>) -> f64 {
     match node {
-        PlanNode::Scan { .. } => 0.0,
-        PlanNode::Union { inputs } => inputs
-            .iter()
-            .map(|i| keyed_run_bound(i, ctx))
-            .fold(0.0, f64::max),
-        PlanNode::Aggregate { input, .. } => keyed_run_bound(input, ctx),
-        PlanNode::NextOccurrence { trigger, .. } => keyed_run_bound(trigger, ctx),
-        PlanNode::Project { input, .. } => keyed_run_bound(input, ctx),
         PlanNode::Join {
             left,
             right,
@@ -823,6 +795,10 @@ fn keyed_run_bound(node: &PlanNode, ctx: &BoundCtx<'_>) -> f64 {
             }
             worst
         }
+        _ => node
+            .children()
+            .map(|c| keyed_run_bound(c, ctx))
+            .fold(0.0, f64::max),
     }
 }
 
@@ -830,9 +806,6 @@ fn keyed_run_bound(node: &PlanNode, ctx: &BoundCtx<'_>) -> f64 {
 /// the physical planner derives from this subtree.
 fn state_bound(node: &PlanNode, ctx: &BoundCtx<'_>, acc: &mut f64) {
     match node {
-        PlanNode::Scan { .. } => {}
-        PlanNode::Project { input, .. } => state_bound(input, ctx, acc),
-        PlanNode::Union { inputs } => inputs.iter().for_each(|i| state_bound(i, ctx, acc)),
         PlanNode::Join { left, right, .. } => {
             for side in [left.as_ref(), right.as_ref()] {
                 let arity = side.layout().len().max(1);
@@ -870,6 +843,8 @@ fn state_bound(node: &PlanNode, ctx: &BoundCtx<'_>, acc: &mut f64) {
                     + ctx.peak_two_windows(&[marker.etype]) * 48.0);
             state_bound(trigger, ctx, acc);
         }
+        // Scans, unions and projections hold no state of their own.
+        _ => node.children().for_each(|c| state_bound(c, ctx, acc)),
     }
 }
 

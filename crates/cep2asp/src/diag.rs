@@ -1,16 +1,15 @@
 //! One diagnostic-reporting path for every static-analysis family.
 //!
-//! The workspace carries five families of coded diagnostics — `G` (graph
-//! validation, `asp::validate`), `P` (plan lints, [`crate::lint`]), `A`
-//! (cost pathologies, [`mod@crate::analyze`]), `S` (schema/partition
-//! safety, [`mod@crate::typecheck`]), and `M` (migration safety,
-//! [`mod@crate::migrate`]). They used to render through per-family
-//! ad-hoc `Display` impls; [`Diag`] is the single carrier — code,
-//! severity, anchoring node, message — with one `Display` impl, so every
-//! family prints identically:
+//! The workspace carries four families of coded diagnostics — `G` (graph
+//! validation, `asp::validate`), `S` (the plan checker: well-formedness,
+//! schema and partition safety, [`mod@crate::typecheck`]), `A` (cost
+//! pathologies, [`mod@crate::analyze`]), and `M` (migration safety,
+//! [`mod@crate::migrate`]). [`Diag`] is their single carrier — code,
+//! severity, anchoring node, message — with one `Display` impl and one
+//! JSON writer, so every family prints identically:
 //!
 //! ```text
-//! P012 error at Join: span guard differs
+//! S016 error at Join: span guard differs
 //! ```
 //!
 //! (`asp::validate::Diagnostic` lives below this crate and keeps its own
@@ -22,7 +21,7 @@ use std::fmt;
 use asp::validate::Severity;
 
 /// A stable diagnostic code: renders as a short family-prefixed
-/// identifier (`G005`, `P004`, `A001`, `S003`, …).
+/// identifier (`G005`, `A001`, `S003`, `M002`, …).
 pub trait DiagCode {
     /// The stable code string.
     fn as_str(&self) -> &'static str;
@@ -74,6 +73,40 @@ impl<C> Diag<C> {
     }
 }
 
+impl<C: DiagCode> Diag<C> {
+    /// The finding as a JSON object `{code, severity, node, message}`.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"code\":{},\"severity\":{},\"node\":{},\"message\":{}}}",
+            json_str(self.code.as_str()),
+            json_str(&self.severity.to_string()),
+            json_str(&self.node),
+            json_str(&self.message)
+        )
+    }
+}
+
+/// Minimal JSON string escaping (quotes, backslashes, control chars) for
+/// the hand-rolled JSON artifacts — this crate carries no serialization
+/// dependency.
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 impl<C: DiagCode> fmt::Display for Diag<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -91,17 +124,27 @@ impl<C: DiagCode> fmt::Display for Diag<C> {
 mod tests {
     use super::*;
     use crate::analyze::AnalyzeCode;
-    use crate::lint::LintCode;
+    use crate::migrate::MigrateCode;
     use crate::typecheck::TypeCode;
 
     #[test]
     fn all_families_render_through_one_format() {
-        let p = Diag::error(LintCode::SpanMismatch, "Join", "span guard differs");
-        assert_eq!(p.to_string(), "P012 error at Join: span guard differs");
+        let m = Diag::warning(MigrateCode::GlobalUnderShards, "Join", "one instance");
+        assert_eq!(m.to_string(), "M004 warning at Join: one instance");
         let a = Diag::warning(AnalyzeCode::StateSuperLinear, "Join", "state grows as W^2");
         assert_eq!(a.to_string(), "A001 warning at Join: state grows as W^2");
         let s = Diag::error(TypeCode::JoinKeyNotCoPartitioned, "Join", "keys unrelated");
         assert_eq!(s.to_string(), "S005 error at Join: keys unrelated");
+    }
+
+    #[test]
+    fn diagnostics_serialize_as_escaped_json_objects() {
+        let d = Diag::error(TypeCode::SpanMismatch, "Join", "a \"quoted\"\nline");
+        assert_eq!(
+            d.to_json(),
+            "{\"code\":\"S016\",\"severity\":\"error\",\"node\":\"Join\",\
+             \"message\":\"a \\\"quoted\\\"\\nline\"}"
+        );
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod diag;
 pub mod exec;
 pub mod explain;
 pub mod kleene_udf;
-pub mod lint;
 pub mod migrate;
 pub mod multi;
 pub mod optimizer;
@@ -63,7 +62,6 @@ pub use exec::{
     dedup_sorted, run_pattern, run_pattern_simple, split_by_type, ExecError, MappedRun,
 };
 pub use explain::{explain_analyzed, render_analysis, render_analysis_typed};
-pub use lint::{lint_plan, LintCode, LintDiagnostic};
 pub use migrate::{
     migration_json, migration_safety, MigrateCode, MigrateConfig, MigrateDiagnostic,
 };

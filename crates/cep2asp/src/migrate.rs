@@ -1,9 +1,8 @@
 //! Migration-safety analysis (`M`-codes) for the sharded executor.
 //!
-//! The fifth static-analysis layer, alongside the graph validator
-//! (`G`-codes), the plan linter (`P`-codes, [`crate::lint`]), the cost
-//! analyzer (`A`-codes, [`mod@crate::analyze`]), and the schema/partition
-//! typechecker (`S`-codes, [`mod@crate::typecheck`]). Where the `S`-pass
+//! The fourth static-analysis layer, alongside the graph validator
+//! (`G`-codes), the cost analyzer (`A`-codes, [`mod@crate::analyze`]), and
+//! the plan checker (`S`-codes, [`mod@crate::typecheck`]). Where the `S`-pass
 //! decides *whether* an operator may be sharded by key, this pass decides
 //! whether a sharded deployment can *move* that operator's state at
 //! runtime: the shard runtime's 4-step migration protocol (publish →
@@ -207,14 +206,8 @@ fn handoff_capable(node: &PlanNode) -> Option<bool> {
 /// The number of input ports a node's physical operator drains markers
 /// from (its plan-tree fan-in).
 fn input_ports(node: &PlanNode) -> usize {
-    match node {
-        PlanNode::Scan { .. } => 0,
-        PlanNode::Join { .. } => 2,
-        PlanNode::Union { inputs } => inputs.len(),
-        PlanNode::Aggregate { .. } | PlanNode::Project { .. } => 1,
-        // Trigger input + the physical marker scan.
-        PlanNode::NextOccurrence { .. } => 2,
-    }
+    // The NSEQ UDF also drains the physical marker scan.
+    node.children().count() + usize::from(matches!(node, PlanNode::NextOccurrence { .. }))
 }
 
 struct Walk<'a> {
@@ -305,27 +298,10 @@ impl Walk<'_> {
             }
             ShardSafety::Stateless => {}
         }
-        for (i, c) in typed.children.iter().enumerate() {
-            if let Some(p) = plan_child(plan, i) {
-                self.visit(p, c);
-            }
+        // The typed tree mirrors the plan's child order.
+        for (p, c) in plan.children().zip(&typed.children) {
+            self.visit(p, c);
         }
-    }
-}
-
-/// The `i`-th plan child, mirroring the typechecker's child order.
-fn plan_child(node: &PlanNode, i: usize) -> Option<&PlanNode> {
-    match node {
-        PlanNode::Scan { .. } => None,
-        PlanNode::Join { left, right, .. } => match i {
-            0 => Some(left),
-            1 => Some(right),
-            _ => None,
-        },
-        PlanNode::Union { inputs } => inputs.get(i),
-        PlanNode::Aggregate { input, .. } => (i == 0).then(|| input.as_ref()),
-        PlanNode::NextOccurrence { trigger, .. } => (i == 0).then(|| trigger.as_ref()),
-        PlanNode::Project { input, .. } => (i == 0).then(|| input.as_ref()),
     }
 }
 
@@ -378,40 +354,8 @@ pub fn migration_safety(
 /// serialization dependency), for the `plan-explain --schema-json`
 /// artifact.
 pub fn migration_json(diags: &[MigrateDiagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"code\":{},\"severity\":{},\"node\":{},\"message\":{}}}",
-            json_str(d.code.as_str()),
-            json_str(&d.severity.to_string()),
-            json_str(&d.node),
-            json_str(&d.message)
-        ));
-    }
-    out.push(']');
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let objs: Vec<String> = diags.iter().map(MigrateDiagnostic::to_json).collect();
+    format!("[{}]", objs.join(","))
 }
 
 #[cfg(test)]

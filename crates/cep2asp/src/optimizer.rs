@@ -670,16 +670,15 @@ pub fn explain_with_stats(
 ) -> String {
     // A plan handed to the cost annotator after option selection (or any
     // future rewrite) must still satisfy every plan invariant.
-    let lints = crate::lint::lint_plan(plan);
-    debug_assert!(
-        lints.is_empty(),
-        "plan fails lint before cost annotation:\n{}",
-        lints
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    #[cfg(debug_assertions)]
+    {
+        let res = crate::typecheck::typecheck(plan);
+        assert!(
+            res.is_clean(),
+            "plan fails typecheck before cost annotation:\n{}",
+            res.render()
+        );
+    }
     let mut out = format!("-- mapping: {}\n", plan.mapping);
     annotate(&plan.root, pattern, stats, 0, &mut out);
     out

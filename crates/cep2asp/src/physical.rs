@@ -122,16 +122,7 @@ pub fn build_pipeline(
     sources: &HashMap<EventType, Vec<Event>>,
     cfg: &PhysicalConfig,
 ) -> Result<(GraphBuilder, SinkId), BuildError> {
-    let typed = if cfg.schema_conformance {
-        let res = typecheck::typecheck(plan);
-        if !res.is_clean() {
-            let msgs: Vec<String> = res.diagnostics.iter().map(|d| d.to_string()).collect();
-            return Err(BuildError::SchemaRejected(msgs.join("; ")));
-        }
-        Some(res.root)
-    } else {
-        None
-    };
+    let typed = conformance_types(plan, cfg)?;
     let mut b = Builder {
         g: GraphBuilder::new(),
         sources: SourceLookup::Plain(sources),
@@ -143,6 +134,23 @@ pub fn build_pipeline(
     };
     let sink = b.lower_to_sink(plan, typed.as_ref())?;
     Ok((b.g, sink))
+}
+
+/// In schema-conformance mode, typecheck `plan` and refuse it on any
+/// defect; the typed tree drives the per-edge conformance assertions.
+fn conformance_types(
+    plan: &LogicalPlan,
+    cfg: &PhysicalConfig,
+) -> Result<Option<TypedNode>, BuildError> {
+    if !cfg.schema_conformance {
+        return Ok(None);
+    }
+    let res = typecheck::typecheck(plan);
+    if !res.is_clean() {
+        let msgs: Vec<String> = res.diagnostics.iter().map(|d| d.to_string()).collect();
+        return Err(BuildError::SchemaRejected(msgs.join("; ")));
+    }
+    Ok(Some(res.root))
 }
 
 /// A multi-pattern physical build: one dataflow graph serving every
@@ -181,16 +189,7 @@ pub fn build_multi_pipeline(
     };
     let mut sinks = Vec::with_capacity(plans.len());
     for (_, plan) in plans {
-        let typed = if cfg.schema_conformance {
-            let res = typecheck::typecheck(plan);
-            if !res.is_clean() {
-                let msgs: Vec<String> = res.diagnostics.iter().map(|d| d.to_string()).collect();
-                return Err(BuildError::SchemaRejected(msgs.join("; ")));
-            }
-            Some(res.root)
-        } else {
-            None
-        };
+        let typed = conformance_types(plan, cfg)?;
         b.positions = plan.positions;
         // A new source config per pattern would be redundant but harmless;
         // per-type memoization already spans patterns via `source_cfgs`.
@@ -849,23 +848,13 @@ fn check_conformance(
 /// The largest window span in the plan (bounds how long a duplicate can
 /// recur).
 fn plan_window_ms(plan: &PlanNode) -> i64 {
-    match plan {
-        PlanNode::Scan { .. } => 0,
-        PlanNode::Join {
-            left,
-            right,
-            span_ms,
-            ..
-        } => (*span_ms)
-            .max(plan_window_ms(left))
-            .max(plan_window_ms(right)),
-        PlanNode::Union { inputs } => inputs.iter().map(plan_window_ms).max().unwrap_or(0),
-        PlanNode::Aggregate { input, window, .. } => {
-            window.size.millis().max(plan_window_ms(input))
-        }
-        PlanNode::NextOccurrence { trigger, w, .. } => w.millis().max(plan_window_ms(trigger)),
-        PlanNode::Project { input, .. } => plan_window_ms(input),
-    }
+    let own = match plan {
+        PlanNode::Join { span_ms, .. } => *span_ms,
+        PlanNode::Aggregate { window, .. } => window.size.millis(),
+        PlanNode::NextOccurrence { w, .. } => w.millis(),
+        _ => 0,
+    };
+    plan.children().map(plan_window_ms).fold(own, i64::max)
 }
 
 fn trigger_type_of(plan: &PlanNode) -> EventType {

@@ -166,17 +166,54 @@ impl PlanNode {
         }
     }
 
+    /// The node's inputs in plan order: a join's left then right side, a
+    /// union's branches in order, the single input of every other operator.
+    /// Borrows without allocating, so whole-tree walks stay cheap.
+    pub fn children(&self) -> impl Iterator<Item = &PlanNode> {
+        let (boxed, inputs): ([Option<&PlanNode>; 2], &[PlanNode]) = match self {
+            PlanNode::Scan { .. } => ([None, None], &[]),
+            PlanNode::Join { left, right, .. } => {
+                ([Some(left.as_ref()), Some(right.as_ref())], &[])
+            }
+            PlanNode::Union { inputs } => ([None, None], inputs),
+            PlanNode::Aggregate { input, .. }
+            | PlanNode::NextOccurrence { trigger: input, .. }
+            | PlanNode::Project { input, .. } => ([Some(input.as_ref()), None], &[]),
+        };
+        boxed.into_iter().flatten().chain(inputs)
+    }
+
+    /// The one-line operator label shared by the typed, analyzed and
+    /// migration trees (`Scan V [e2]`, `Join INTERVAL(0min, 4min) [by-key]`, …).
+    pub fn label(&self) -> String {
+        match self {
+            PlanNode::Scan { type_name, var, .. } => format!("Scan {type_name} [e{}]", var + 1),
+            PlanNode::Join {
+                windowing,
+                partitioning,
+                ..
+            } => format!("Join {windowing} [{partitioning}]"),
+            PlanNode::Union { .. } => "Union".to_string(),
+            PlanNode::Aggregate {
+                m, partitioning, ..
+            } => {
+                format!("Aggregate count ≥ {m} [{partitioning}]")
+            }
+            PlanNode::NextOccurrence { marker, .. } => {
+                format!("NextOccurrence(¬{})", marker.type_name)
+            }
+            PlanNode::Project { layout, .. } => {
+                let cols: Vec<String> = layout.iter().map(|v| format!("e{}", v + 1)).collect();
+                format!("Project [{}]", cols.join(", "))
+            }
+        }
+    }
+
     /// Number of join operators in the plan — the decomposition degree the
     /// paper contrasts with the single CEP operator.
     pub fn join_count(&self) -> usize {
-        match self {
-            PlanNode::Scan { .. } => 0,
-            PlanNode::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
-            PlanNode::Union { inputs } => inputs.iter().map(PlanNode::join_count).sum(),
-            PlanNode::Aggregate { input, .. } => input.join_count(),
-            PlanNode::NextOccurrence { trigger, .. } => trigger.join_count(),
-            PlanNode::Project { input, .. } => input.join_count(),
-        }
+        usize::from(matches!(self, PlanNode::Join { .. }))
+            + self.children().map(PlanNode::join_count).sum::<usize>()
     }
 
     /// All scans in the plan, left to right.
@@ -187,17 +224,10 @@ impl PlanNode {
     }
 
     fn collect_scans<'a>(&'a self, out: &mut Vec<&'a PlanNode>) {
-        match self {
-            PlanNode::Scan { .. } => out.push(self),
-            PlanNode::Join { left, right, .. } => {
-                left.collect_scans(out);
-                right.collect_scans(out);
-            }
-            PlanNode::Union { inputs } => inputs.iter().for_each(|i| i.collect_scans(out)),
-            PlanNode::Aggregate { input, .. } => input.collect_scans(out),
-            PlanNode::NextOccurrence { trigger, .. } => trigger.collect_scans(out),
-            PlanNode::Project { input, .. } => input.collect_scans(out),
+        if matches!(self, PlanNode::Scan { .. }) {
+            out.push(self);
         }
+        self.children().for_each(|c| c.collect_scans(out));
     }
 
     /// Render an `EXPLAIN`-style indented tree.
@@ -209,34 +239,20 @@ impl PlanNode {
 
     fn explain_into(&self, out: &mut String, depth: usize) {
         use std::fmt::Write;
-        let pad = "  ".repeat(depth);
-        match self {
+        let line = match self {
             PlanNode::Scan {
-                type_name,
-                leaf,
-                var,
-                predicates,
-                ..
+                leaf, predicates, ..
             } => {
                 let mut filters: Vec<String> =
                     leaf.filters.iter().map(|f| format!("{f}")).collect();
                 filters.extend(predicates.iter().map(|p| p.to_string()));
-                let _ = writeln!(
-                    out,
-                    "{pad}Scan {type_name} [e{}]{}",
-                    var + 1,
-                    if filters.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" σ({})", filters.join(" ∧ "))
-                    }
-                );
+                if filters.is_empty() {
+                    self.label()
+                } else {
+                    format!("{} σ({})", self.label(), filters.join(" ∧ "))
+                }
             }
             PlanNode::Join {
-                left,
-                right,
-                windowing,
-                partitioning,
                 order_pairs,
                 predicates,
                 ats_check,
@@ -250,50 +266,29 @@ impl PlanNode {
                 if let Some(v) = ats_check {
                     conds.push(format!("ats ≥ e{}.ts", v + 1));
                 }
-                let _ = writeln!(
-                    out,
-                    "{pad}Join {windowing} [{partitioning}]{}",
-                    if conds.is_empty() {
-                        " (cross)".to_string()
-                    } else {
-                        format!(" on {}", conds.join(" ∧ "))
-                    }
-                );
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            PlanNode::Union { inputs } => {
-                let _ = writeln!(out, "{pad}Union");
-                for i in inputs {
-                    i.explain_into(out, depth + 1);
+                if conds.is_empty() {
+                    format!("{} (cross)", self.label())
+                } else {
+                    format!("{} on {}", self.label(), conds.join(" ∧ "))
                 }
             }
             PlanNode::Aggregate {
-                input,
                 m,
                 window,
                 partitioning,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}Aggregate count ≥ {m} over SLIDING({}, {}) [{partitioning}]",
-                    window.size, window.slide
-                );
-                input.explain_into(out, depth + 1);
+                ..
+            } => format!(
+                "Aggregate count ≥ {m} over SLIDING({}, {}) [{partitioning}]",
+                window.size, window.slide
+            ),
+            PlanNode::NextOccurrence { marker, w, .. } => {
+                format!("NextOccurrence(¬{} within {w}) → ats", marker.type_name)
             }
-            PlanNode::NextOccurrence { trigger, marker, w } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}NextOccurrence(¬{} within {w}) → ats",
-                    marker.type_name
-                );
-                trigger.explain_into(out, depth + 1);
-            }
-            PlanNode::Project { input, layout } => {
-                let cols: Vec<String> = layout.iter().map(|v| format!("e{}", v + 1)).collect();
-                let _ = writeln!(out, "{pad}Project [{}]", cols.join(", "));
-                input.explain_into(out, depth + 1);
-            }
+            PlanNode::Union { .. } | PlanNode::Project { .. } => self.label(),
+        };
+        let _ = writeln!(out, "{}{line}", "  ".repeat(depth));
+        for c in self.children() {
+            c.explain_into(out, depth + 1);
         }
     }
 }
@@ -307,8 +302,8 @@ pub struct LogicalPlan {
     pub positions: usize,
     /// Human-readable description of which mapping produced this plan.
     pub mapping: String,
-    /// The pattern's window, kept so [`crate::lint`] can bound-check join
-    /// windowing and UDF hold durations against the enclosing window.
+    /// The pattern's window, kept so [`mod@crate::typecheck`] can bound-check
+    /// join windowing and UDF hold durations against the enclosing window.
     pub window: WindowSpec,
 }
 

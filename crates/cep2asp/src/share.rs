@@ -356,21 +356,8 @@ fn intern_subtree(n: &PlanNode, consumer: &str, report: &mut ShareReport) {
     {
         entry.consumers.push(consumer.to_string());
     }
-    match n {
-        PlanNode::Scan { .. } => {}
-        PlanNode::Join { left, right, .. } => {
-            intern_subtree(left, consumer, report);
-            intern_subtree(right, consumer, report);
-        }
-        PlanNode::Union { inputs } => {
-            for i in inputs {
-                intern_subtree(i, consumer, report);
-            }
-        }
-        PlanNode::Aggregate { input, .. } => intern_subtree(input, consumer, report),
-        PlanNode::NextOccurrence { trigger, .. } => intern_subtree(trigger, consumer, report),
-        PlanNode::Project { input, .. } => intern_subtree(input, consumer, report),
-    }
+    n.children()
+        .for_each(|c| intern_subtree(c, consumer, report));
 }
 
 /// Render the shared DAG of a plan batch: each pattern's tree with a
@@ -413,23 +400,8 @@ fn render_dag_node(n: &PlanNode, report: &ShareReport, depth: usize, out: &mut S
         indent = depth * 2,
         line = node_line(n),
     );
-    match n {
-        PlanNode::Scan { .. } => {}
-        PlanNode::Join { left, right, .. } => {
-            render_dag_node(left, report, depth + 1, out);
-            render_dag_node(right, report, depth + 1, out);
-        }
-        PlanNode::Union { inputs } => {
-            for i in inputs {
-                render_dag_node(i, report, depth + 1, out);
-            }
-        }
-        PlanNode::Aggregate { input, .. } => render_dag_node(input, report, depth + 1, out),
-        PlanNode::NextOccurrence { trigger, .. } => {
-            render_dag_node(trigger, report, depth + 1, out)
-        }
-        PlanNode::Project { input, .. } => render_dag_node(input, report, depth + 1, out),
-    }
+    n.children()
+        .for_each(|c| render_dag_node(c, report, depth + 1, out));
 }
 
 #[cfg(test)]

@@ -198,29 +198,18 @@ pub fn translate(pattern: &Pattern, opts: &MapperOptions) -> Result<LogicalPlan,
         mapping,
         window: pattern.window,
     };
-    // Post-condition (debug builds): the mapping must emit lint-clean plans.
-    // Released binaries skip the walk; callers can still lint explicitly.
-    debug_assert!(
-        crate::lint::lint_plan(&plan).is_empty(),
-        "translate produced a plan that fails its own lint:\n{}",
-        crate::lint::lint_plan(&plan)
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    // Same contract for the schema/key pass: every emitted plan must carry
-    // consistent per-edge schemas and co-partitioned keys.
-    debug_assert!(
-        crate::typecheck::typecheck(&plan).is_clean(),
-        "translate produced a plan that fails its own typecheck:\n{}",
-        crate::typecheck::typecheck(&plan)
-            .diagnostics
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    // Post-condition (debug builds): the mapping must emit well-formed
+    // plans with consistent per-edge schemas and co-partitioned keys.
+    // Released binaries skip the walk; callers can still typecheck.
+    #[cfg(debug_assertions)]
+    {
+        let res = crate::typecheck::typecheck(&plan);
+        assert!(
+            res.is_clean(),
+            "translate produced a plan that fails its own typecheck:\n{}",
+            res.render()
+        );
+    }
     Ok(plan)
 }
 

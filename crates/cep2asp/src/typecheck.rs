@@ -1,43 +1,67 @@
-//! Static schema inference & partition-safety analysis (`S`-codes).
+//! The plan checker: well-formedness, schema inference and partition
+//! safety (`S`-codes).
 //!
-//! The third static-analysis layer, alongside the graph validator
-//! (`G`-codes, `asp::validate`), the plan linter (`P`-codes,
-//! [`crate::lint`]), and the cost analyzer (`A`-codes,
-//! [`mod@crate::analyze`]):
+//! One bottom-up pass over a [`LogicalPlan`], alongside the graph
+//! validator (`G`-codes, `asp::validate`) and the cost analyzer
+//! (`A`-codes, [`mod@crate::analyze`]):
 //!
 //! 1. **Per-edge schema inference** — propagate typed tuple schemas
 //!    (constituent event types + `VarId` layout, plus the `ats`/`agg`
 //!    annotation channels) from the source declarations through every
-//!    [`PlanNode`], rejecting layout/arity mismatches and predicates over
-//!    undeclared attributes at translate time.
-//! 2. **Key-provenance analysis** — a small dataflow lattice
+//!    [`PlanNode`], rejecting layout/arity mismatches, variables an edge
+//!    does not bind, and predicates over undeclared attributes.
+//! 2. **Plan invariants** — window, interval and hold bounds against the
+//!    pattern window, span guards, union and aggregate arity, all read off
+//!    the same walk.
+//! 3. **Key-provenance analysis** — a small dataflow lattice
 //!    ([`KeyProvenance`]) tracking which attribute is the partition key on
 //!    each edge, whether each operator preserves, destroys, or rewrites
 //!    it, and whether every `ByKey` join is actually co-partitioned on its
 //!    `key_pair` (the equi-key closure check, S005).
-//! 3. **Partition-safety verdicts** — classify each operator as
+//! 4. **Partition-safety verdicts** — classify each operator as
 //!    shardable-by-key / global-only / stateless ([`ShardSafety`]),
 //!    exported in EXPLAIN output and a machine-readable JSON artifact for
 //!    the future sharded executor.
 //!
-//! The pass is wired in three places: a `translate()` debug-mode
-//! post-condition (like `lint_plan`), a pre-run check in
-//! [`crate::exec::run_pattern`], and — with the `schema-conformance`
-//! feature (or [`crate::physical::PhysicalConfig::schema_conformance`]) —
-//! a runtime conformance mode that asserts every tuple crossing an edge
-//! matches the inferred schema and key, so the analysis is validated
-//! against reality instead of merely asserted.
+//! The pass is wired in as a `translate()` debug-mode post-condition, a
+//! pre-run check in [`crate::exec::run_pattern`], the pre-flight of the
+//! reproduction harness, and — with the `schema-conformance` feature (or
+//! [`crate::physical::PhysicalConfig::schema_conformance`]) — a gate in
+//! front of the physical build plus a runtime conformance mode that
+//! asserts every tuple crossing an edge matches the inferred schema and
+//! key, so the analysis is validated against reality instead of merely
+//! asserted.
 //!
 //! | code | rejected plan defect |
 //! |------|----------------------|
 //! | S001 | predicate reads an attribute the bound source never declares |
 //! | S002 | scan node and its leaf disagree on the event type |
-//! | S003 | join sides bind overlapping pattern variables |
+//! | S003 | a pattern variable is bound twice in one match |
 //! | S004 | projection layout is not a permutation of its input columns |
-//! | S005 | `ByKey` join whose key pair is not in one equi-key class |
+//! | S005 | partitioning and key pair disagree, or the key pair is not in one equi-key class |
 //! | S006 | `ByKey` aggregate over an input that is not sensor-id keyed |
 //! | S007 | `ats` check with no `ats`-carrying input (statically dead) |
 //! | S008 | aggregate over a composite (multi-event) input |
+//! | S009 | a predicate, order pair or `ats` check names a variable its input does not bind |
+//! | S010 | sliding window with `slide ≤ 0` or `slide > size` |
+//! | S011 | interval join with `lower ≥ upper` |
+//! | S012 | exclusive interval bounds outside `[-W, W]` |
+//! | S013 | join/aggregate window size ≠ `W`, hold outside `(0, W]`, or `W ≤ 0` |
+//! | S014 | union with fewer than two inputs |
+//! | S015 | aggregate counting to zero |
+//! | S016 | join span guard ≠ `W` |
+//!
+//! ## Window boundary convention
+//!
+//! The whole stack is **half-open**: `sea::oracle::evaluate_per_window`
+//! enumerates windows `[k·s, k·s + W)`, so two co-windowed events differ
+//! by *strictly less than* `W`. The runtime agrees — interval-join bounds
+//! are EXCLUSIVE (`lower < r.ts − l.ts < upper`, so `upper = W` admits a
+//! maximum difference of `W − 1` ms, exactly the half-open maximum) and
+//! the physical span guard rejects `span ≥ W`. S012 and S013 pin this
+//! convention: interval bounds beyond `±W`, or a sliding-join/aggregate
+//! window sized differently from the pattern window, admit (or lose)
+//! pairs that no half-open pattern window co-hosts.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -47,11 +71,10 @@ use asp::event::{Attr, EventType};
 use sea::predicate::{Expr, Predicate, VarId};
 use sea::schema::SchemaCatalog;
 
-use crate::diag::{Diag, DiagCode};
-use crate::plan::{LogicalPlan, Partitioning, PlanNode};
+use crate::diag::{json_str, Diag, DiagCode};
+use crate::plan::{JoinWindowing, LogicalPlan, Partitioning, PlanNode};
 
-/// Stable identifier of a schema/partition-safety defect found by
-/// [`typecheck`].
+/// Stable identifier of a plan defect found by [`typecheck`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TypeCode {
     /// S001: a predicate reads an attribute the bound source's declared
@@ -60,15 +83,17 @@ pub enum TypeCode {
     /// S002: a scan's `etype` and its leaf's `etype` disagree — the same
     /// variable would bind conflicting types.
     InconsistentVarType,
-    /// S003: a join's sides bind the same pattern variable, so the output
-    /// layout would carry a duplicate column.
+    /// S003: a pattern variable is bound twice in one match — a join's
+    /// sides overlap, so the output layout would carry a duplicate column.
     DuplicateColumn,
     /// S004: a projection's layout is not a permutation of its input's
     /// columns (or the input is a mixed union with no single layout).
     ProjectionLayoutMismatch,
-    /// S005: a `ByKey` join whose `key_pair` sides are not provably equal
-    /// under the plan's equi-key predicate closure — the hash partitioner
-    /// would separate matching pairs and silently lose matches.
+    /// S005: partitioning and key pair disagree — `ByKey` without a key
+    /// pair, `Global` with one, a key drawn from the wrong side — or a
+    /// `ByKey` join whose `key_pair` sides are not provably equal under the
+    /// plan's equi-key predicate closure, so the hash partitioner would
+    /// separate matching pairs and silently lose matches.
     JoinKeyNotCoPartitioned,
     /// S006: a `ByKey` aggregate over an input whose partition key is not
     /// a sensor id — the per-key counts would be grouped arbitrarily.
@@ -79,6 +104,30 @@ pub enum TypeCode {
     /// S008: an aggregate over a composite (multi-event) input; the count
     /// mapping is defined over single scanned events.
     AggregateOverComposite,
+    /// S009: a predicate, ordering constraint or `ats` check names a
+    /// variable its input schema does not bind (for `ats`: the join's
+    /// right side).
+    UnboundVariable,
+    /// S010: a sliding window's slide is zero, negative, or larger than
+    /// its size.
+    SlidingSlideExceedsSize,
+    /// S011: an interval join's lower bound is not strictly below its
+    /// upper bound.
+    IntervalBoundsInverted,
+    /// S012: an interval join's bounds exceed the pattern window `[-W, W]`.
+    IntervalExceedsWindow,
+    /// S013: a window duration disagrees with the pattern window — a
+    /// sliding-join or aggregate window sized differently from `W`
+    /// (admitting or losing pairs the half-open pattern windows
+    /// `[k·s, k·s + W)` never co-host), a non-positive / over-long hold
+    /// duration, or a non-positive pattern window.
+    WindowOutOfRange,
+    /// S014: a union with fewer than two inputs.
+    EmptyUnion,
+    /// S015: an aggregate requiring a count of zero (always true).
+    AggregateCountZero,
+    /// S016: a join's span guard differs from the pattern window.
+    SpanMismatch,
 }
 
 impl TypeCode {
@@ -93,6 +142,14 @@ impl TypeCode {
         TypeCode::AggregateKeyProvenance,
         TypeCode::AtsWithoutProvider,
         TypeCode::AggregateOverComposite,
+        TypeCode::UnboundVariable,
+        TypeCode::SlidingSlideExceedsSize,
+        TypeCode::IntervalBoundsInverted,
+        TypeCode::IntervalExceedsWindow,
+        TypeCode::WindowOutOfRange,
+        TypeCode::EmptyUnion,
+        TypeCode::AggregateCountZero,
+        TypeCode::SpanMismatch,
     ];
 
     /// The stable `Sxxx` string for this code.
@@ -106,6 +163,14 @@ impl TypeCode {
             TypeCode::AggregateKeyProvenance => "S006",
             TypeCode::AtsWithoutProvider => "S007",
             TypeCode::AggregateOverComposite => "S008",
+            TypeCode::UnboundVariable => "S009",
+            TypeCode::SlidingSlideExceedsSize => "S010",
+            TypeCode::IntervalBoundsInverted => "S011",
+            TypeCode::IntervalExceedsWindow => "S012",
+            TypeCode::WindowOutOfRange => "S013",
+            TypeCode::EmptyUnion => "S014",
+            TypeCode::AggregateCountZero => "S015",
+            TypeCode::SpanMismatch => "S016",
         }
     }
 }
@@ -122,8 +187,8 @@ impl DiagCode for TypeCode {
     }
 }
 
-/// One schema/partition-safety defect. All typecheck findings are errors;
-/// the shared [`Diag`] carrier keeps rendering uniform with G/P/A.
+/// One plan defect. All typecheck findings are errors; the shared [`Diag`]
+/// carrier keeps rendering uniform with the G/A/M families.
 pub type TypeDiagnostic = Diag<TypeCode>;
 
 /// One column of a tuple schema: the pattern position it binds and the
@@ -249,7 +314,7 @@ impl fmt::Display for EdgeSchema {
 /// renderer can walk both in lockstep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypedNode {
-    /// Node label, matching the cost analyzer's labels.
+    /// Node label ([`PlanNode::label`], shared with the cost analyzer).
     pub label: String,
     /// Inferred schema of the node's output edge.
     pub schema: EdgeSchema,
@@ -295,18 +360,8 @@ impl TypecheckResult {
         out.push_str("{\"clean\":");
         out.push_str(if self.is_clean() { "true" } else { "false" });
         out.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"node\":{},\"message\":{}}}",
-                json_str(d.code.as_str()),
-                json_str(&d.severity.to_string()),
-                json_str(&d.node),
-                json_str(&d.message)
-            ));
-        }
+        let diags: Vec<String> = self.diagnostics.iter().map(Diag::to_json).collect();
+        out.push_str(&diags.join(","));
         out.push_str("],\"root\":");
         json_node(&self.root, &mut out);
         out.push('}');
@@ -321,25 +376,6 @@ fn render_node(n: &TypedNode, depth: usize, out: &mut String) {
     for c in &n.children {
         render_node(c, depth + 1, out);
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn json_node(n: &TypedNode, out: &mut String) {
@@ -387,7 +423,7 @@ fn json_node(n: &TypedNode, out: &mut String) {
 }
 
 /// Typecheck a plan against a fully permissive schema catalog (every
-/// source exposes every attribute): structural/layout/key checks only.
+/// source exposes every attribute): every check except S001.
 pub fn typecheck(plan: &LogicalPlan) -> TypecheckResult {
     typecheck_with(plan, &SchemaCatalog::new())
 }
@@ -399,11 +435,27 @@ pub fn typecheck_with(plan: &LogicalPlan, catalog: &SchemaCatalog) -> TypecheckR
     let mut diagnostics = Vec::new();
     let mut classes = UnionFind::default();
     collect_equi_classes(&plan.root, &mut classes);
+    let (w_ms, slide_ms) = (plan.window.size.millis(), plan.window.slide.millis());
     let mut cx = Ctx {
         catalog,
         classes,
+        w_ms,
         diags: &mut diagnostics,
     };
+    if w_ms <= 0 {
+        cx.err(
+            TypeCode::WindowOutOfRange,
+            "Plan",
+            format!("pattern window size must be positive, got {w_ms}ms"),
+        );
+    }
+    if slide_ms <= 0 || slide_ms > w_ms.max(1) {
+        cx.err(
+            TypeCode::SlidingSlideExceedsSize,
+            "Plan",
+            format!("pattern window slide {slide_ms}ms outside (0, {w_ms}ms]"),
+        );
+    }
     let root = infer(&plan.root, &mut cx);
     TypecheckResult { root, diagnostics }
 }
@@ -450,29 +502,65 @@ fn collect_equi_classes(node: &PlanNode, uf: &mut UnionFind) {
             }
         }
     }
-    match node {
-        PlanNode::Scan { .. } => {}
-        PlanNode::Join { left, right, .. } => {
-            collect_equi_classes(left, uf);
-            collect_equi_classes(right, uf);
-        }
-        PlanNode::Union { inputs } => inputs.iter().for_each(|i| collect_equi_classes(i, uf)),
-        PlanNode::Aggregate { input, .. } => collect_equi_classes(input, uf),
-        PlanNode::NextOccurrence { trigger, .. } => collect_equi_classes(trigger, uf),
-        PlanNode::Project { input, .. } => collect_equi_classes(input, uf),
-    }
+    node.children().for_each(|c| collect_equi_classes(c, uf));
 }
 
 struct Ctx<'a> {
     catalog: &'a SchemaCatalog,
     classes: UnionFind,
+    /// The pattern window `W` every join, aggregate and hold is bounded by.
+    w_ms: i64,
     diags: &'a mut Vec<TypeDiagnostic>,
 }
 
 impl Ctx<'_> {
-    fn err(&mut self, code: TypeCode, node: impl Into<String>, msg: impl Into<String>) {
+    fn err(&mut self, code: TypeCode, node: &str, msg: impl Into<String>) {
         self.diags.push(TypeDiagnostic::error(code, node, msg));
     }
+
+    /// Check one predicate against the tuple shapes it is evaluated over:
+    /// every variable it names must be bound (S009), and every attribute it
+    /// reads declared by the bound source (S001).
+    fn check_pred(&mut self, label: &str, p: &Predicate, variants: &[RowSchema]) {
+        for v in p.vars() {
+            if !binds(variants, v) {
+                self.err(
+                    TypeCode::UnboundVariable,
+                    label,
+                    format!(
+                        "predicate `{p}` references e{}, not bound by its input",
+                        v + 1
+                    ),
+                );
+            }
+        }
+        for (v, attr) in pred_refs(p) {
+            for variant in variants {
+                if let Some(col) = variant.columns.iter().find(|c| c.var == v) {
+                    if !self.catalog.declares(col.etype, attr) {
+                        self.err(
+                            TypeCode::UnknownAttribute,
+                            label,
+                            format!(
+                                "predicate `{p}` reads e{}.{attr}, but source {} \
+                                 does not declare attribute `{attr}`",
+                                v + 1,
+                                col.type_name
+                            ),
+                        );
+                        break; // one finding per reference is enough
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Does every tuple shape an edge can carry bind `v`?
+fn binds(variants: &[RowSchema], v: VarId) -> bool {
+    variants
+        .iter()
+        .all(|r| r.columns.iter().any(|c| c.var == v))
 }
 
 /// The attribute references `(var, attr)` a predicate reads.
@@ -486,32 +574,28 @@ fn pred_refs(p: &Predicate) -> Vec<(VarId, Attr)> {
         .collect()
 }
 
-/// Check every attribute a predicate reads against the declared schema of
-/// the column its variable is bound to (S001). Unbound variables are the
-/// linter's concern (P004), not repeated here.
-fn check_pred_attrs(cx: &mut Ctx<'_>, node_label: &str, p: &Predicate, variants: &[RowSchema]) {
-    for (v, attr) in pred_refs(p) {
-        for variant in variants {
-            if let Some(col) = variant.columns.iter().find(|c| c.var == v) {
-                if !cx.catalog.declares(col.etype, attr) {
-                    cx.err(
-                        TypeCode::UnknownAttribute,
-                        node_label,
-                        format!(
-                            "predicate `{p}` reads e{}.{attr}, but source {} \
-                             does not declare attribute `{attr}`",
-                            v + 1,
-                            col.type_name
-                        ),
-                    );
-                    break; // one finding per reference is enough
-                }
-            }
-        }
+/// Type `node` bottom-up: its children first, then the node itself.
+fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
+    let children: Vec<TypedNode> = node.children().map(|c| infer(c, cx)).collect();
+    let label = node.label();
+    let (schema, safety) = check_node(node, &label, &children, cx);
+    TypedNode {
+        label,
+        schema,
+        safety,
+        children,
     }
 }
 
-fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
+/// The output schema and verdict of `node` given its typed children,
+/// reporting every defect of the node itself.
+fn check_node(
+    node: &PlanNode,
+    label: &str,
+    children: &[TypedNode],
+    cx: &mut Ctx<'_>,
+) -> (EdgeSchema, ShardSafety) {
+    let w_ms = cx.w_ms;
     match node {
         PlanNode::Scan {
             etype,
@@ -520,11 +604,10 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
             var,
             predicates,
         } => {
-            let label = format!("Scan {type_name} [e{}]", var + 1);
             if leaf.etype != *etype {
                 cx.err(
                     TypeCode::InconsistentVarType,
-                    label.clone(),
+                    label,
                     format!(
                         "scan type {etype} disagrees with its leaf's type {} — e{} \
                          would bind conflicting event types",
@@ -546,7 +629,7 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
                 if !cx.catalog.declares(*etype, f.attr) {
                     cx.err(
                         TypeCode::UnknownAttribute,
-                        label.clone(),
+                        label,
                         format!(
                             "filter `{f}` reads attribute `{}`, undeclared by source \
                              {type_name}",
@@ -556,38 +639,88 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
                 }
             }
             for p in predicates {
-                check_pred_attrs(cx, &label, p, std::slice::from_ref(&row));
+                cx.check_pred(label, p, std::slice::from_ref(&row));
             }
-            TypedNode {
-                label,
-                schema: EdgeSchema {
-                    variants: vec![row],
-                    // `Tuple::from_event` sets key = event id.
-                    key: KeyProvenance::SensorId(*var),
-                },
-                safety: ShardSafety::Stateless,
-                children: Vec::new(),
-            }
+            let schema = EdgeSchema {
+                variants: vec![row],
+                // `Tuple::from_event` sets key = event id.
+                key: KeyProvenance::SensorId(*var),
+            };
+            (schema, ShardSafety::Stateless)
         }
 
         PlanNode::Join {
-            left,
-            right,
             windowing,
             partitioning,
+            order_pairs,
             predicates,
+            span_ms,
             ats_check,
             key_pair,
             ..
         } => {
-            let l = infer(left, cx);
-            let r = infer(right, cx);
-            let label = format!("Join {windowing} [{partitioning}]");
+            let (l, r) = (&children[0].schema, &children[1].schema);
+            match *windowing {
+                JoinWindowing::Sliding { size, slide } => {
+                    let (size, slide) = (size.millis(), slide.millis());
+                    if slide <= 0 || slide > size {
+                        cx.err(
+                            TypeCode::SlidingSlideExceedsSize,
+                            label,
+                            format!(
+                                "sliding windowing requires 0 < slide ≤ size, got slide \
+                                 {slide}ms, size {size}ms"
+                            ),
+                        );
+                    }
+                    if size != w_ms {
+                        cx.err(
+                            TypeCode::WindowOutOfRange,
+                            label,
+                            format!(
+                                "sliding join size {size}ms must equal the pattern window \
+                                 {w_ms}ms: a larger size admits pairs no half-open window \
+                                 [k·s, k·s + W) co-hosts, a smaller one silently drops \
+                                 matches"
+                            ),
+                        );
+                    }
+                }
+                JoinWindowing::Interval { lower, upper } => {
+                    let (lo, hi) = (lower.millis(), upper.millis());
+                    if lo >= hi {
+                        cx.err(
+                            TypeCode::IntervalBoundsInverted,
+                            label,
+                            format!("interval join requires lower < upper, got [{lo}ms, {hi}ms]"),
+                        );
+                    }
+                    if lo < -w_ms || hi > w_ms {
+                        cx.err(
+                            TypeCode::IntervalExceedsWindow,
+                            label,
+                            format!(
+                                "exclusive interval bounds ({lo}ms, {hi}ms) exceed ±{w_ms}ms; \
+                                 upper = W is the half-open maximum (ts diff ≤ W − 1ms), \
+                                 anything wider admits pairs no window [k·s, k·s + W) \
+                                 co-hosts"
+                            ),
+                        );
+                    }
+                }
+            }
+            if *span_ms != w_ms {
+                cx.err(
+                    TypeCode::SpanMismatch,
+                    label,
+                    format!("span guard {span_ms}ms differs from the pattern window {w_ms}ms"),
+                );
+            }
 
             // Variant product: each left shape can meet each right shape.
             let mut variants = Vec::new();
-            for lv in &l.schema.variants {
-                for rv in &r.schema.variants {
+            for lv in &l.variants {
+                for rv in &r.variants {
                     if let Some(dup) = lv
                         .columns
                         .iter()
@@ -595,7 +728,7 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
                     {
                         cx.err(
                             TypeCode::DuplicateColumn,
-                            label.clone(),
+                            label,
                             format!(
                                 "both sides bind e{} — the output layout would carry \
                                  a duplicate column",
@@ -616,61 +749,102 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
             }
 
             for p in predicates {
-                check_pred_attrs(cx, &label, p, &variants);
+                cx.check_pred(label, p, &variants);
             }
-
-            if ats_check.is_some()
-                && !l.schema.variants.iter().any(|v| v.ats)
-                && !r.schema.variants.iter().any(|v| v.ats)
-            {
-                cx.err(
-                    TypeCode::AtsWithoutProvider,
-                    label.clone(),
-                    "join checks the ats annotation but no input can carry one — \
-                     every candidate match is statically rejected",
-                );
-            }
-
-            let (key, safety) = match partitioning {
-                Partitioning::ByKey => {
-                    let key = match key_pair {
-                        Some((kl, kr)) => {
-                            if !cx.classes.same(*kl, *kr) {
-                                cx.err(
-                                    TypeCode::JoinKeyNotCoPartitioned,
-                                    label.clone(),
-                                    format!(
-                                        "key pair (e{}, e{}) is not connected by the \
-                                         plan's equi-key predicates — hashing each \
-                                         side by its own id would separate matching \
-                                         pairs and silently lose matches",
-                                        kl + 1,
-                                        kr + 1
-                                    ),
-                                );
-                            }
-                            // Physical planner re-keys the left side on kl;
-                            // the join output keeps the left key.
-                            KeyProvenance::SensorId(*kl)
-                        }
-                        // ByKey without a pair is P006; provenance unknown.
-                        None => KeyProvenance::Mixed,
-                    };
-                    (key, ShardSafety::ShardableByKey)
+            for (a, b) in order_pairs {
+                if !binds(&variants, *a) || !binds(&variants, *b) {
+                    cx.err(
+                        TypeCode::UnboundVariable,
+                        label,
+                        format!(
+                            "ordering e{}.ts < e{}.ts references a variable not bound by \
+                             the join's inputs",
+                            a + 1,
+                            b + 1
+                        ),
+                    );
                 }
-                Partitioning::Global => (KeyProvenance::Uniform, ShardSafety::GlobalOnly),
-            };
-
-            TypedNode {
-                label,
-                schema: EdgeSchema { variants, key },
-                safety,
-                children: vec![l, r],
             }
+            if let Some(v) = ats_check {
+                if !binds(&r.variants, *v) {
+                    cx.err(
+                        TypeCode::UnboundVariable,
+                        label,
+                        format!("ats ≥ e{}.ts but the right side does not bind it", v + 1),
+                    );
+                }
+                if !l.variants.iter().chain(&r.variants).any(|v| v.ats) {
+                    cx.err(
+                        TypeCode::AtsWithoutProvider,
+                        label,
+                        "join checks the ats annotation but no input can carry one — \
+                         every candidate match is statically rejected",
+                    );
+                }
+            }
+
+            let key = match (partitioning, key_pair) {
+                (Partitioning::Global, None) => KeyProvenance::Uniform,
+                (Partitioning::Global, Some(_)) => {
+                    cx.err(
+                        TypeCode::JoinKeyNotCoPartitioned,
+                        label,
+                        "Global partitioning with a key pair (the key would never be used)",
+                    );
+                    KeyProvenance::Uniform
+                }
+                (Partitioning::ByKey, None) => {
+                    cx.err(
+                        TypeCode::JoinKeyNotCoPartitioned,
+                        label,
+                        "ByKey partitioning without a key pair",
+                    );
+                    KeyProvenance::Mixed
+                }
+                (Partitioning::ByKey, Some((kl, kr))) => {
+                    if !binds(&l.variants, *kl) || !binds(&r.variants, *kr) {
+                        cx.err(
+                            TypeCode::JoinKeyNotCoPartitioned,
+                            label,
+                            format!(
+                                "key pair (e{}, e{}) not drawn from the left / right side",
+                                kl + 1,
+                                kr + 1
+                            ),
+                        );
+                    } else if !cx.classes.same(*kl, *kr) {
+                        cx.err(
+                            TypeCode::JoinKeyNotCoPartitioned,
+                            label,
+                            format!(
+                                "key pair (e{}, e{}) is not connected by the plan's \
+                                 equi-key predicates — hashing each side by its own id \
+                                 would separate matching pairs and silently lose matches",
+                                kl + 1,
+                                kr + 1
+                            ),
+                        );
+                    }
+                    // Physical planner re-keys the left side on kl; the join
+                    // output keeps the left key.
+                    KeyProvenance::SensorId(*kl)
+                }
+            };
+            let safety = match partitioning {
+                Partitioning::ByKey => ShardSafety::ShardableByKey,
+                Partitioning::Global => ShardSafety::GlobalOnly,
+            };
+            (EdgeSchema { variants, key }, safety)
         }
 
         PlanNode::Union { inputs } => {
-            let children: Vec<TypedNode> = inputs.iter().map(|i| infer(i, cx)).collect();
+            if inputs.len() < 2 {
+                cx.err(
+                    TypeCode::EmptyUnion,
+                    label,
+                    format!("union has {} input(s); it needs at least two", inputs.len()),
+                );
+            }
             // The physical planner projects every non-aggregate branch into
             // canonical (ascending-VarId) order before the union, so the
             // edge carries canonicalized variants.
@@ -689,26 +863,48 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
                 .map(|c| c.schema.key)
                 .reduce(|a, b| if a == b { a } else { KeyProvenance::Mixed })
                 .unwrap_or(KeyProvenance::Mixed);
-            TypedNode {
-                label: "Union".to_string(),
-                schema: EdgeSchema { variants, key },
-                safety: ShardSafety::Stateless,
-                children,
-            }
+            (EdgeSchema { variants, key }, ShardSafety::Stateless)
         }
 
         PlanNode::Aggregate {
-            input,
             m,
+            window,
             partitioning,
             ..
         } => {
-            let c = infer(input, cx);
-            let label = format!("Aggregate count ≥ {m} [{partitioning}]");
-            if c.schema.variants.iter().any(|v| v.columns.len() != 1) {
+            let c = &children[0].schema;
+            if *m == 0 {
+                cx.err(
+                    TypeCode::AggregateCountZero,
+                    label,
+                    "count ≥ 0 holds vacuously; m must be at least 1",
+                );
+            }
+            let (size, slide) = (window.size.millis(), window.slide.millis());
+            if slide <= 0 || slide > size {
+                cx.err(
+                    TypeCode::SlidingSlideExceedsSize,
+                    label,
+                    format!(
+                        "aggregation window requires 0 < slide ≤ size, got slide {slide}ms, \
+                         size {size}ms"
+                    ),
+                );
+            }
+            if size != w_ms {
+                cx.err(
+                    TypeCode::WindowOutOfRange,
+                    label,
+                    format!(
+                        "aggregation window size {size}ms must equal the pattern window \
+                         {w_ms}ms (the count is defined over the half-open pattern windows)"
+                    ),
+                );
+            }
+            if c.variants.iter().any(|v| v.columns.len() != 1) {
                 cx.err(
                     TypeCode::AggregateOverComposite,
-                    label.clone(),
+                    label,
                     "count aggregation is defined over single scanned events, but \
                      the input carries composite tuples",
                 );
@@ -716,7 +912,6 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
             // The aggregate emits a representative (last-contributing)
             // tuple with the pane key and agg populated.
             let variants: Vec<RowSchema> = c
-                .schema
                 .variants
                 .iter()
                 .map(|v| RowSchema {
@@ -726,39 +921,37 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
                 .collect();
             let (key, safety) = match partitioning {
                 Partitioning::ByKey => {
-                    if !matches!(c.schema.key, KeyProvenance::SensorId(_)) {
+                    if !matches!(c.key, KeyProvenance::SensorId(_)) {
                         cx.err(
                             TypeCode::AggregateKeyProvenance,
-                            label.clone(),
+                            label,
                             format!(
                                 "ByKey aggregation requires a sensor-id-keyed input, \
                                  but the input key is {} — per-key counts would be \
                                  grouped arbitrarily",
-                                c.schema.key
+                                c.key
                             ),
                         );
                     }
-                    (c.schema.key, ShardSafety::ShardableByKey)
+                    (c.key, ShardSafety::ShardableByKey)
                 }
                 Partitioning::Global => (KeyProvenance::Uniform, ShardSafety::GlobalOnly),
             };
-            TypedNode {
-                label,
-                schema: EdgeSchema { variants, key },
-                safety,
-                children: vec![c],
-            }
+            (EdgeSchema { variants, key }, safety)
         }
 
-        PlanNode::NextOccurrence {
-            trigger, marker, ..
-        } => {
-            let c = infer(trigger, cx);
-            let label = format!("NextOccurrence(¬{})", marker.type_name);
+        PlanNode::NextOccurrence { w, .. } => {
+            if w.millis() <= 0 || w.millis() > w_ms {
+                cx.err(
+                    TypeCode::WindowOutOfRange,
+                    label,
+                    format!("hold duration {}ms outside (0, {w_ms}ms]", w.millis()),
+                );
+            }
+            let c = &children[0].schema;
             // The UDF re-emits each trigger annotated with ats (always
             // populated: next marker ts, or ts + W when none arrives).
             let variants: Vec<RowSchema> = c
-                .schema
                 .variants
                 .iter()
                 .map(|v| RowSchema {
@@ -766,21 +959,19 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
                     ..v.clone()
                 })
                 .collect();
-            let key = c.schema.key;
-            TypedNode {
-                label,
-                schema: EdgeSchema { variants, key },
-                // Holds cross-key trigger/marker state in one instance.
-                safety: ShardSafety::GlobalOnly,
-                children: vec![c],
-            }
+            // Holds cross-key trigger/marker state in one instance.
+            (
+                EdgeSchema {
+                    variants,
+                    key: c.key,
+                },
+                ShardSafety::GlobalOnly,
+            )
         }
 
-        PlanNode::Project { input, layout } => {
-            let c = infer(input, cx);
-            let cols: Vec<String> = layout.iter().map(|v| format!("e{}", v + 1)).collect();
-            let label = format!("Project [{}]", cols.join(", "));
-            let variants = if let [only] = c.schema.variants.as_slice() {
+        PlanNode::Project { layout, .. } => {
+            let c = &children[0].schema;
+            let variants = if let [only] = c.variants.as_slice() {
                 let mut in_vars = only.layout();
                 let mut out_vars = layout.clone();
                 in_vars.sort_unstable();
@@ -798,7 +989,7 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
                 } else {
                     cx.err(
                         TypeCode::ProjectionLayoutMismatch,
-                        label.clone(),
+                        label,
                         format!(
                             "projection layout {:?} is not a permutation of the \
                              input columns {:?}",
@@ -806,27 +997,27 @@ fn infer(node: &PlanNode, cx: &mut Ctx<'_>) -> TypedNode {
                             only.layout()
                         ),
                     );
-                    c.schema.variants.clone()
+                    c.variants.clone()
                 }
             } else {
                 cx.err(
                     TypeCode::ProjectionLayoutMismatch,
-                    label.clone(),
+                    label,
                     format!(
                         "projection over a {}-variant input has no single layout \
                          to permute",
-                        c.schema.variants.len()
+                        c.variants.len()
                     ),
                 );
-                c.schema.variants.clone()
+                c.variants.clone()
             };
-            let key = c.schema.key;
-            TypedNode {
-                label,
-                schema: EdgeSchema { variants, key },
-                safety: ShardSafety::Stateless,
-                children: vec![c],
-            }
+            (
+                EdgeSchema {
+                    variants,
+                    key: c.key,
+                },
+                ShardSafety::Stateless,
+            )
         }
     }
 }
@@ -885,6 +1076,21 @@ mod tests {
             .collect()
     }
 
+    /// Mutate the root join of `join(scan e1, scan e2)` in place.
+    fn with_join(f: impl FnOnce(&mut PlanNode)) -> LogicalPlan {
+        let mut root = join(scan(0, 0), scan(1, 1));
+        f(&mut root);
+        plan(root)
+    }
+
+    fn with_windowing(w: JoinWindowing) -> LogicalPlan {
+        with_join(|j| {
+            if let PlanNode::Join { windowing, .. } = j {
+                *windowing = w;
+            }
+        })
+    }
+
     #[test]
     fn clean_join_infers_schema_and_key() {
         let res = typecheck(&plan(join(scan(0, 0), scan(1, 1))));
@@ -930,6 +1136,16 @@ mod tests {
     }
 
     #[test]
+    fn s003_rebinding_across_union_branches_is_allowed() {
+        // Each union branch is its own match scope.
+        let u = PlanNode::Union {
+            inputs: vec![join(scan(0, 0), scan(1, 1)), join(scan(0, 0), scan(2, 1))],
+        };
+        let res = typecheck(&plan(u));
+        assert!(res.is_clean(), "{}", res.render());
+    }
+
+    #[test]
     fn s004_layout_permutation_rejected() {
         // e3 is not a column of the input {e1, e2}.
         let root = PlanNode::Project {
@@ -963,6 +1179,30 @@ mod tests {
             *key_pair = Some((0, 1));
         }
         assert_eq!(codes(&plan(root)), vec![TypeCode::JoinKeyNotCoPartitioned]);
+        // ByKey without a key pair, Global with one, and a pair drawn from
+        // the wrong sides are the same defect.
+        for (p, k) in [
+            (Partitioning::ByKey, None),
+            (Partitioning::Global, Some((0, 1))),
+            (Partitioning::ByKey, Some((1, 0))),
+        ] {
+            let bad = with_join(|j| {
+                if let PlanNode::Join {
+                    partitioning,
+                    key_pair,
+                    ..
+                } = j
+                {
+                    *partitioning = p;
+                    *key_pair = k;
+                }
+            });
+            assert_eq!(
+                codes(&bad),
+                vec![TypeCode::JoinKeyNotCoPartitioned],
+                "{p} {k:?}"
+            );
+        }
         // With the equi-key predicate attached, the same plan is sound.
         let mut ok = join(scan(0, 0), scan(1, 1));
         if let PlanNode::Join {
@@ -1050,6 +1290,157 @@ mod tests {
         assert!(res.is_clean());
         assert_eq!(res.root.schema.key, KeyProvenance::Mixed);
         assert_eq!(res.root.schema.variants.len(), 2);
+    }
+
+    #[test]
+    fn s009_unbound_variables() {
+        // A join predicate over e8, which neither side binds.
+        let p = with_join(|j| {
+            if let PlanNode::Join { predicates, .. } = j {
+                predicates.push(Predicate::cross(0, Attr::Value, CmpOp::Le, 7, Attr::Value));
+            }
+        });
+        let res = typecheck(&p);
+        let d = res
+            .diagnostics
+            .iter()
+            .find(|d| d.code == TypeCode::UnboundVariable)
+            .expect("S009");
+        assert!(d.message.contains("e8"), "{}", d.message);
+        // A scan predicate reaching for another scan's variable.
+        let mut s = scan(0, 0);
+        if let PlanNode::Scan { predicates, .. } = &mut s {
+            predicates.push(Predicate::cross(0, Attr::Value, CmpOp::Le, 1, Attr::Value));
+        }
+        assert_eq!(
+            codes(&plan(join(s, scan(1, 1)))),
+            vec![TypeCode::UnboundVariable]
+        );
+        // An ordering constraint over e10.
+        let p = with_join(|j| {
+            if let PlanNode::Join { order_pairs, .. } = j {
+                order_pairs.push((0, 9));
+            }
+        });
+        assert_eq!(codes(&p), vec![TypeCode::UnboundVariable]);
+        // An ats check on a variable the LEFT side binds.
+        let p = with_join(|j| {
+            if let PlanNode::Join { ats_check, .. } = j {
+                *ats_check = Some(0);
+            }
+        });
+        assert!(codes(&p).contains(&TypeCode::UnboundVariable));
+    }
+
+    #[test]
+    fn s010_sliding_slide_exceeds_size() {
+        let p = with_windowing(JoinWindowing::Sliding {
+            size: Duration::from_minutes(4),
+            slide: Duration::from_minutes(5),
+        });
+        assert_eq!(codes(&p), vec![TypeCode::SlidingSlideExceedsSize]);
+    }
+
+    #[test]
+    fn s011_interval_bounds_inverted() {
+        let p = with_windowing(JoinWindowing::Interval {
+            lower: Duration::from_minutes(4),
+            upper: Duration::ZERO,
+        });
+        assert_eq!(codes(&p), vec![TypeCode::IntervalBoundsInverted]);
+    }
+
+    #[test]
+    fn s012_interval_exceeds_window() {
+        let p = with_windowing(JoinWindowing::Interval {
+            lower: Duration::ZERO,
+            upper: Duration::from_minutes(99),
+        });
+        assert_eq!(codes(&p), vec![TypeCode::IntervalExceedsWindow]);
+    }
+
+    #[test]
+    fn interval_upper_equal_to_window_is_half_open_clean() {
+        // Regression (boundary convention): the interval bounds are
+        // EXCLUSIVE, so upper = W caps the ts difference at W − 1ms —
+        // exactly the half-open maximum. This must check clean; one
+        // millisecond more must not.
+        let p = with_windowing(JoinWindowing::Interval {
+            lower: Duration::ZERO,
+            upper: Duration::from_minutes(4), // == pattern window
+        });
+        assert!(typecheck(&p).is_clean(), "{}", typecheck(&p).render());
+        let p = with_windowing(JoinWindowing::Interval {
+            lower: Duration::ZERO,
+            upper: Duration::from_millis(4 * asp::time::MINUTE_MS + 1),
+        });
+        assert_eq!(codes(&p), vec![TypeCode::IntervalExceedsWindow]);
+    }
+
+    #[test]
+    fn s013_window_out_of_range() {
+        // NextOccurrence holding longer than the pattern window.
+        let n = PlanNode::NextOccurrence {
+            trigger: Box::new(scan(0, 0)),
+            marker: Leaf::new(EventType(5), "M", "m"),
+            w: Duration::from_minutes(99),
+        };
+        assert_eq!(
+            codes(&plan(join(n, scan(1, 1)))),
+            vec![TypeCode::WindowOutOfRange]
+        );
+        // Non-positive pattern window.
+        let mut p = plan(join(scan(0, 0), scan(1, 1)));
+        p.window.size = Duration::ZERO;
+        assert!(codes(&p).contains(&TypeCode::WindowOutOfRange));
+        // Regression (boundary convention): a sliding join sized 2W admits
+        // pairs up to 2W − 1ms apart, which no half-open pattern window
+        // [k·s, k·s + W) ever co-hosts; size W/2 loses matches. Both are
+        // S013, independent of the S010 slide rule.
+        for size in [8, 2] {
+            let p = with_windowing(JoinWindowing::Sliding {
+                size: Duration::from_minutes(size),
+                slide: Duration::from_minutes(1),
+            });
+            assert_eq!(codes(&p), vec![TypeCode::WindowOutOfRange], "size {size}");
+        }
+        // An aggregate counting over a window other than the pattern's.
+        let a = PlanNode::Aggregate {
+            input: Box::new(scan(0, 0)),
+            m: 2,
+            window: WindowSpec::minutes(8),
+            partitioning: Partitioning::Global,
+        };
+        assert_eq!(codes(&plan(a)), vec![TypeCode::WindowOutOfRange]);
+    }
+
+    #[test]
+    fn s014_empty_union() {
+        let p = plan(PlanNode::Union {
+            inputs: vec![scan(0, 0)],
+        });
+        assert_eq!(codes(&p), vec![TypeCode::EmptyUnion]);
+    }
+
+    #[test]
+    fn s015_aggregate_count_zero() {
+        let a = PlanNode::Aggregate {
+            input: Box::new(scan(0, 0)),
+            m: 0,
+            window: WindowSpec::minutes(4),
+            partitioning: Partitioning::Global,
+        };
+        assert_eq!(codes(&plan(a)), vec![TypeCode::AggregateCountZero]);
+    }
+
+    #[test]
+    fn s016_span_mismatch() {
+        let p = with_join(|j| {
+            if let PlanNode::Join { span_ms, .. } = j {
+                *span_ms = 123;
+            }
+        });
+        assert_eq!(codes(&p), vec![TypeCode::SpanMismatch]);
     }
 
     #[test]

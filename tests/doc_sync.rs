@@ -1,10 +1,11 @@
 //! Doc-sync: DESIGN.md's diagnostic-code tables must match the enums.
 //!
-//! Each stable code family (`Gxxx` graph validation, `Pxxx` plan lints,
-//! `Axxx` analyzer diagnostics, `Sxxx` schema/partition-safety, `Mxxx`
-//! migration safety) is documented as a markdown table in DESIGN.md
-//! ("Static analysis & invariants" / "Static cost model" / "Schema &
-//! partition-safety" / "Migration safety").
+//! Each stable code family (`Gxxx` graph validation, `Axxx` analyzer
+//! diagnostics, `Sxxx` plan checks, `Mxxx` migration safety) is documented
+//! as a markdown table in DESIGN.md ("Static analysis & invariants" /
+//! "Static cost model" / "Schema & partition-safety" / "Migration
+//! safety"). The retired `Pxxx` plan-lint codes survive only as alias rows
+//! naming the `S` code that now reports them.
 //! Renaming, adding, or removing a variant without updating the docs —
 //! or documenting a code that no longer exists — fails here.
 
@@ -65,12 +66,35 @@ fn graph_validator_codes_match_design_md() {
 
 #[test]
 fn plan_lint_codes_match_design_md() {
-    let code: BTreeSet<String> = cep2asp::LintCode::ALL
-        .iter()
-        .map(|c| c.as_str().to_string())
-        .collect();
-    assert_eq!(code.len(), cep2asp::LintCode::ALL.len(), "duplicate P code");
-    assert_in_sync("Pxxx", &documented_codes(&design_md(), 'P'), &code);
+    // P001..P012 each appear exactly once, as `| Pxxx | Syyy | ... |`,
+    // and the S code they name is live.
+    let design = design_md();
+    let live: BTreeSet<&str> = cep2asp::TypeCode::ALL.iter().map(|c| c.as_str()).collect();
+    for n in 1..=12 {
+        let p = format!("P{n:03}");
+        let rows: Vec<Vec<&str>> = design
+            .lines()
+            .filter_map(|line| {
+                let cells: Vec<&str> = line.trim().strip_prefix('|')?.split('|').collect();
+                (cells.first()?.trim() == p).then(|| cells.iter().map(|c| c.trim()).collect())
+            })
+            .collect();
+        assert_eq!(
+            rows.len(),
+            1,
+            "{p} must have exactly one alias row in DESIGN.md"
+        );
+        let target = rows[0].get(1).copied().unwrap_or_default();
+        assert!(
+            live.contains(target),
+            "{p} is documented as an alias of `{target}`, which is not a live S code"
+        );
+    }
+    assert_eq!(
+        documented_codes(&design, 'P').len(),
+        12,
+        "DESIGN.md documents P codes beyond the retired P001..P012"
+    );
 }
 
 #[test]
@@ -115,17 +139,10 @@ fn migrate_codes_match_design_md() {
 fn code_tables_are_dense_and_ordered() {
     // Codes are stable identifiers: each family must be X001..X00n with
     // no gaps, in declaration order, so a new code can only be appended.
-    let families: [(&str, Vec<String>); 5] = [
+    let families: [(&str, Vec<String>); 4] = [
         (
             "G",
             asp::validate::Code::ALL
-                .iter()
-                .map(|c| c.as_str().to_string())
-                .collect(),
-        ),
-        (
-            "P",
-            cep2asp::LintCode::ALL
                 .iter()
                 .map(|c| c.as_str().to_string())
                 .collect(),

@@ -257,7 +257,7 @@ proptest! {
 
     /// Mirror of the graph-validator property for the plan layer: every
     /// plan `translate` produces — across plain, O1, O2, and O3 — is clean
-    /// under [`cep2asp::lint_plan`]. (The optimizations rewrite windowing,
+    /// under [`cep2asp::typecheck()`]. (The optimizations rewrite windowing,
     /// partitioning, and aggregation; none may break a plan invariant.)
     #[test]
     fn translated_plans_are_lint_clean(
@@ -282,12 +282,12 @@ proptest! {
             ("O1+O3", MapperOptions::o1().and_o3()),
         ] {
             let plan = cep2asp::translate(&pattern, &opts).expect("translates");
-            let lints = cep2asp::lint_plan(&plan);
+            let checked = cep2asp::typecheck(&plan);
             prop_assert!(
-                lints.is_empty(),
-                "{} plan fails lint: {}",
+                checked.is_clean(),
+                "{} plan fails typecheck: {}",
                 label,
-                lints.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("; "),
+                checked.render(),
             );
         }
     }
