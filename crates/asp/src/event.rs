@@ -93,7 +93,7 @@ impl TypeRegistry {
 /// `(id, lat, lon, ts, value)` plus its event type.
 ///
 /// The struct is `Copy` and 32 bytes so join buffers stay allocation-free
-/// per element and state-size accounting is exact. On the columnar plane
+/// per element and state-size accounting is exact. On the wire
 /// each field becomes its own dense array ([`crate::columnar::
 /// ColumnarBatch`]), so a primitive event flows source→sink without ever
 /// being boxed.

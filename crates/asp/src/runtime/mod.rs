@@ -36,17 +36,20 @@
 //! deadline under sustained load) sends every partial buffer and settles
 //! all owed watermarks, bounding how long either can sit.
 //!
-//! ## Data planes
+//! ## Data plane
 //!
-//! With [`ExecutorConfig::columnar`] (the default), tuple data travels as
-//! struct-of-arrays [`ColumnarBatch`]es: sources push events straight into
-//! typed columns (no per-event heap allocation), operators declaring
-//! [`BatchSupport::Columnar`] are driven batch-at-a-time through
-//! [`Operator::process_columnar`], and row-format [`Tuple`]s are
-//! materialized only at the input boundary of row-only (stateful)
-//! operators and collecting sinks. Batches on the wire are always dense —
-//! selection vectors produced by vectorized filters are compacted at route
-//! flush.
+//! Every tuple batch travels as one `Arc<ColumnarBatch>` message of
+//! struct-of-arrays [`ColumnarBatch`] columns. A point-to-point send wraps
+//! its batch in a fresh `Arc`; a fan-out to several pre-resolved
+//! destinations sends clones of one `Arc`. Sources push events straight
+//! into typed columns (no per-event heap allocation). Operators declaring
+//! [`BatchSupport::Columnar`] take the batch with `Arc::try_unwrap` (a
+//! copy only while a sibling consumer still holds it) and are driven
+//! batch-at-a-time through [`Operator::process_columnar`]; row-only
+//! operators and collecting sinks read the batch in place and materialize
+//! row-format [`Tuple`]s one at a time (`tuple_at`). Batches on the wire
+//! are always dense — selection vectors produced by vectorized filters are
+//! compacted at route flush.
 
 mod chain;
 mod metrics;
@@ -100,8 +103,9 @@ pub struct ExecutorConfig {
     /// [`NodeStats::late_dropped`].
     pub drop_late: bool,
     /// Maximum tuples accumulated per (edge, destination instance) before
-    /// the pending micro-batch is sent as one channel message. `1` restores
-    /// per-tuple messaging; larger values amortize channel synchronization
+    /// the pending micro-batch is sent as one channel message. `1` sends
+    /// one-row batches (each still pays the column set and its `Arc`);
+    /// larger values amortize channel synchronization and batch bookkeeping
     /// over `batch_size` tuples on every hop. Must be ≥ 1 (0 is rejected as
     /// diagnostic `G015` before any thread is spawned).
     pub batch_size: usize,
@@ -124,16 +128,11 @@ pub struct ExecutorConfig {
     /// [`RunReport::events`]. When full, the oldest events are displaced;
     /// `0` disables event retention.
     pub event_log_capacity: usize,
-    /// Run tuple data on the columnar (struct-of-arrays) plane: sources
-    /// build [`ColumnarBatch`]es without materializing row tuples,
-    /// operators declaring [`BatchSupport::Columnar`] run vectorized, and
-    /// rows are materialized only at stateful-operator and collecting-sink
-    /// boundaries. Defaults to `true`; setting the `ASP_DATA_PLANE=row`
-    /// environment variable flips the default to the row plane (the CI
-    /// matrix exercises both; any other value is refused as diagnostic
-    /// `G017`). With `batch_size == 1` the columnar plane degenerates to
-    /// per-tuple batch bookkeeping — a measured regression — so the
-    /// executor falls back to the row plane for that configuration.
+    /// Ignored: the runtime has one data plane (columnar batches), so this
+    /// flag selects nothing. It remains only so existing struct literals
+    /// that set it keep compiling, and goes when the benchmark harness
+    /// drops its `columnar: true` line.
+    #[deprecated(note = "the runtime has one data plane; this flag is ignored")]
     pub columnar: bool,
     /// Shard count for keyed operators marked [`GraphBuilder::shard_node`]:
     /// each such node fans out into this many shared-nothing workers, each
@@ -151,8 +150,8 @@ pub struct ExecutorConfig {
     /// Operators without live-handoff support are never migrated
     /// regardless.
     pub rebalance_interval: Option<StdDuration>,
-    /// Parse failures from environment overrides (`ASP_DATA_PLANE`,
-    /// `ASP_SHARDS`) captured at [`Default::default`] time — `Default`
+    /// Parse failures from the `ASP_SHARDS` environment override captured
+    /// at [`Default::default`] time — `Default`
     /// cannot return `Result`, so [`Executor::run`] refuses the run with
     /// diagnostic `G017` if any are present rather than silently running
     /// with a misread knob. Always empty for explicitly built configs.
@@ -160,25 +159,13 @@ pub struct ExecutorConfig {
 }
 
 impl Default for ExecutorConfig {
+    // Builds the deprecated `columnar` field; nothing reads it.
+    #[allow(deprecated)]
     fn default() -> Self {
-        // Environment overrides parse strictly: a typo like
-        // `ASP_DATA_PLANE=rows` used to silently select the columnar plane
-        // (`v != "row"`); now every unrecognized value is captured here and
-        // surfaced as diagnostic `G017` when the executor runs.
+        // The environment override parses strictly: an unrecognized value
+        // is captured here and surfaced as diagnostic `G017` when the
+        // executor runs.
         let mut env_errors = Vec::new();
-        let columnar = match std::env::var("ASP_DATA_PLANE") {
-            Err(_) => true,
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "row" => false,
-                "columnar" => true,
-                _ => {
-                    env_errors.push(format!(
-                        "ASP_DATA_PLANE=`{v}` is not a data plane; expected `row` or `columnar`"
-                    ));
-                    true
-                }
-            },
-        };
         let shards = match std::env::var("ASP_SHARDS") {
             Err(_) => None,
             Ok(v) => match v.trim().parse::<usize>() {
@@ -202,7 +189,7 @@ impl Default for ExecutorConfig {
             proc_latency_every: 32,
             progress_interval: None,
             event_log_capacity: 256,
-            columnar,
+            columnar: true,
             shards,
             rebalance_interval: Some(StdDuration::from_millis(50)),
             env_errors,
@@ -211,20 +198,16 @@ impl Default for ExecutorConfig {
 }
 
 enum Message {
-    Tuple(Tuple),
-    /// A micro-batch: consecutive tuples for one destination, sent as one
-    /// channel message. Order within the batch is emission order.
-    Batch(Vec<Tuple>),
-    /// A columnar micro-batch (always dense on the wire; receivers never
-    /// see a selection vector). Used exclusively on the columnar plane.
-    Columnar(ColumnarBatch),
-    /// A dense columnar micro-batch broadcast to several destinations at
-    /// once without per-route payload copies — the fan-out path under
-    /// shared subplans, where one operator's output feeds many consumer
-    /// pipelines. Operators take ownership on receipt (`Arc::try_unwrap`,
-    /// cloning only while the batch is still referenced elsewhere); sinks
+    /// A micro-batch: consecutive tuples for one destination in emission
+    /// order, always dense on the wire (receivers never see a selection
+    /// vector). A point-to-point send wraps its batch in a fresh `Arc`; a
+    /// fan-out to several destinations (shared subplans, where one
+    /// operator's output feeds many consumer pipelines) sends clones of one
+    /// `Arc` instead of copying the payload per route. Columnar operators
+    /// take ownership on receipt (`Arc::try_unwrap`, cloning only while the
+    /// batch is still referenced elsewhere); row-only operators and sinks
     /// read it in place.
-    Shared(Arc<ColumnarBatch>),
+    Batch(Arc<ColumnarBatch>),
     Watermark(Timestamp),
     /// Shard-migration cut-over marker: everything before it on this
     /// channel was routed under the previous slot table, everything after
@@ -274,12 +257,9 @@ struct Route {
     /// (`Forward`, or any exchange with a single destination instance) —
     /// the dispatch match is decided once at wiring time, not per tuple.
     fixed: Option<usize>,
-    /// Pending tuples per destination instance, flushed at `batch_size`
-    /// (row plane; unused on the columnar plane).
-    bufs: Vec<Vec<Tuple>>,
-    /// Pending columnar rows per destination instance (columnar plane;
-    /// unused on the row plane). Built by column pushes, so always dense.
-    cbufs: Vec<ColumnarBatch>,
+    /// Pending rows per destination instance, flushed at `batch_size`.
+    /// Built by column pushes, so always dense.
+    bufs: Vec<ColumnarBatch>,
     /// Watermarks promised to a destination but deferred because its batch
     /// buffer was non-empty at soft-flush time, queued with the number of
     /// buffered rows each must ride *behind*. Flushing emits the buffer in
@@ -350,8 +330,7 @@ impl Route {
             }),
             _ => None,
         };
-        let bufs = senders.iter().map(|_| Vec::new()).collect();
-        let cbufs = senders.iter().map(|_| ColumnarBatch::default()).collect();
+        let bufs = senders.iter().map(|_| ColumnarBatch::default()).collect();
         let wm_owed = senders.iter().map(|_| VecDeque::new()).collect();
         Route {
             exchange,
@@ -361,7 +340,6 @@ impl Route {
             rr: instance,
             fixed,
             bufs,
-            cbufs,
             wm_owed,
             op_error: None,
             shard,
@@ -504,8 +482,8 @@ impl Route {
         result
     }
 
-    /// Append `t` to the destination's pending row batch, flushing it when
-    /// it reaches `batch_size`.
+    /// Decompose `t` into the destination's pending batch, flushing it
+    /// when it reaches `batch_size`.
     fn buffer_tuple(
         &mut self,
         t: Tuple,
@@ -515,34 +493,11 @@ impl Route {
     ) -> Result<(), ()> {
         self.observe_shard(batch_size, abort, blocked_ns)?;
         let idx = self.pick_dest(t.key);
-        let buf = &mut self.bufs[idx];
-        if buf.capacity() == 0 {
-            buf.reserve_exact(batch_size);
-        }
-        buf.push(t);
-        if buf.len() >= batch_size {
-            self.flush_buf(idx, batch_size, abort, blocked_ns)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Decompose `t` into the destination's pending columnar batch,
-    /// flushing it when it reaches `batch_size` (columnar plane).
-    fn buffer_tuple_columnar(
-        &mut self,
-        t: Tuple,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
-        self.observe_shard(batch_size, abort, blocked_ns)?;
-        let idx = self.pick_dest(t.key);
-        if let Err(e) = self.cbufs[idx].push_tuple(t) {
+        if let Err(e) = self.bufs[idx].push_tuple(t) {
             self.op_error.get_or_insert(e);
             return Err(());
         }
-        if self.cbufs[idx].len() >= batch_size {
+        if self.bufs[idx].len() >= batch_size {
             self.flush_buf(idx, batch_size, abort, blocked_ns)
         } else {
             Ok(())
@@ -560,11 +515,11 @@ impl Route {
         blocked_ns: &AtomicU64,
     ) -> Result<(), ()> {
         self.observe_shard(batch_size, abort, blocked_ns)?;
-        // Primitive events partition by sensor id (`Tuple::from_event`
-        // assigns `key = id`), so routing agrees with the row plane.
+        // Primitive events partition by sensor id, as `Tuple::from_event`
+        // assigns `key = id`.
         let idx = self.pick_dest(e.id as u64);
-        self.cbufs[idx].push_event(e, wall);
-        if self.cbufs[idx].len() >= batch_size {
+        self.bufs[idx].push_event(e, wall);
+        if self.bufs[idx].len() >= batch_size {
             self.flush_buf(idx, batch_size, abort, blocked_ns)
         } else {
             Ok(())
@@ -587,11 +542,11 @@ impl Route {
         }
         let one = |this: &mut Self, i: usize| -> Result<(), ()> {
             let idx = this.pick_dest(src.key[i]);
-            if let Err(e) = this.cbufs[idx].push_row_from(src, i) {
+            if let Err(e) = this.bufs[idx].push_row_from(src, i) {
                 this.op_error.get_or_insert(e);
                 return Err(());
             }
-            if this.cbufs[idx].len() >= batch_size {
+            if this.bufs[idx].len() >= batch_size {
                 this.flush_buf(idx, batch_size, abort, blocked_ns)
             } else {
                 Ok(())
@@ -648,11 +603,11 @@ impl Route {
             if sel.is_empty() {
                 continue;
             }
-            if let Err(e) = self.cbufs[idx].extend_gather(src, sel) {
+            if let Err(e) = self.bufs[idx].extend_gather(src, sel) {
                 self.op_error.get_or_insert(e);
                 return Err(());
             }
-            if self.cbufs[idx].len() >= batch_size {
+            if self.bufs[idx].len() >= batch_size {
                 self.flush_buf(idx, batch_size, abort, blocked_ns)?;
             }
         }
@@ -702,7 +657,7 @@ impl Route {
     ) -> Result<(), ()> {
         let mut ok = Ok(());
         for idx in 0..self.senders.len() {
-            let pos = self.bufs[idx].len() + self.cbufs[idx].len();
+            let pos = self.bufs[idx].len();
             if pos == 0 {
                 if self
                     .send(idx, Message::Watermark(wm), abort, blocked_ns)
@@ -743,8 +698,8 @@ impl Route {
         self.send_rows(idx, usize::MAX, batch_size, abort, blocked_ns)
     }
 
-    /// Send up to `take` of the destination's pending rows (row or
-    /// columnar plane) as one message, keeping the rest buffered.
+    /// Send up to `take` of the destination's pending rows as one
+    /// message, keeping the rest buffered.
     fn send_rows(
         &mut self,
         idx: usize,
@@ -753,40 +708,18 @@ impl Route {
         abort: &AtomicBool,
         blocked_ns: &AtomicU64,
     ) -> Result<(), ()> {
-        let msg = if !self.bufs[idx].is_empty() {
-            let buf = &mut self.bufs[idx];
-            let head = if take >= buf.len() {
-                std::mem::replace(buf, Vec::with_capacity(batch_size))
-            } else {
-                let tail = buf.split_off(take);
-                std::mem::replace(buf, tail)
-            };
-            match head.len() {
-                0 => None,
-                1 => Some(Message::Tuple(
-                    head.into_iter().next().expect("len checked"),
-                )),
-                _ => Some(Message::Batch(head)),
-            }
-        } else {
-            let cbuf = &mut self.cbufs[idx];
-            if cbuf.is_empty() || take == 0 {
-                None
-            } else {
-                debug_assert!(cbuf.is_dense(), "route buffers are built dense");
-                let head = if take >= cbuf.len() {
-                    std::mem::replace(cbuf, ColumnarBatch::with_capacity(batch_size))
-                } else {
-                    cbuf.take_prefix(take)
-                };
-                Some(Message::Columnar(head))
-            }
-        };
-        if let Some(msg) = msg {
-            self.batches += 1;
-            self.send(idx, msg, abort, blocked_ns)?;
+        let buf = &mut self.bufs[idx];
+        if buf.is_empty() || take == 0 {
+            return Ok(());
         }
-        Ok(())
+        debug_assert!(buf.is_dense(), "route buffers are built dense");
+        let head = if take >= buf.len() {
+            std::mem::replace(buf, ColumnarBatch::with_capacity(batch_size))
+        } else {
+            buf.take_prefix(take)
+        };
+        self.batches += 1;
+        self.send(idx, Message::Batch(Arc::new(head)), abort, blocked_ns)
     }
 
     fn flush_all(
@@ -822,10 +755,6 @@ impl Route {
 struct ChannelCollector {
     routes: Vec<Route>,
     batch_size: usize,
-    /// Which data plane this task's emissions travel on. On the columnar
-    /// plane every tuple-carrying message is [`Message::Columnar`]; on the
-    /// row plane, [`Message::Tuple`]/[`Message::Batch`]. Never mixed.
-    columnar: bool,
     abort: Arc<AtomicBool>,
     /// The owning instance's shared counters; the collector charges
     /// blocked-on-send time (backpressure) to
@@ -954,13 +883,8 @@ impl ChannelCollector {
     }
 
     /// Source fast path: append a primitive event to every route's pending
-    /// columnar batch without materializing a row tuple (no heap traffic).
-    /// Falls back to [`Collector::emit`] on the row plane.
+    /// batch without materializing a row tuple (no heap traffic).
     fn emit_event(&mut self, e: Event, wall: u64) {
-        if !self.columnar {
-            self.emit(Tuple::from_event_wall(e, wall));
-            return;
-        }
         self.out_count += 1;
         let Self {
             routes,
@@ -981,11 +905,10 @@ impl ChannelCollector {
         }
     }
 
-    /// Route a processed columnar batch downstream (columnar plane). A
-    /// dense, full batch bound for a single pre-resolved destination with
-    /// an empty pending buffer moves onto the wire without copying a row;
-    /// everything else gather-appends the selected rows into the
-    /// destinations' pending batches.
+    /// Route a processed batch downstream. A dense, full batch bound for a
+    /// single pre-resolved destination with an empty pending buffer moves
+    /// onto the wire without copying a row; everything else gather-appends
+    /// the selected rows into the destinations' pending batches.
     fn forward_batch(&mut self, mut batch: ColumnarBatch) {
         #[cfg(feature = "invariant-checks")]
         if self.enforce_emit_floor {
@@ -1042,7 +965,7 @@ impl ChannelCollector {
                     continue;
                 }
                 r.batches += 1;
-                if r.send(idx, Message::Shared(shared.clone()), abort, blocked_ns)
+                if r.send(idx, Message::Batch(shared.clone()), abort, blocked_ns)
                     .is_err()
                 {
                     *failed = true;
@@ -1062,7 +985,7 @@ impl ChannelCollector {
             // The zero-copy path requires an empty owed-watermark queue:
             // owed watermarks are positional, and rows sent around them
             // must go through the segment-splitting `flush_buf`.
-            if last.cbufs[idx].is_empty() && last.wm_owed[idx].is_empty() {
+            if last.bufs[idx].is_empty() && last.wm_owed[idx].is_empty() {
                 if let Err(e) = batch.compact() {
                     last.op_error.get_or_insert(e);
                     *failed = true;
@@ -1071,14 +994,14 @@ impl ChannelCollector {
                 if batch.len() >= *batch_size {
                     last.batches += 1;
                     if last
-                        .send(idx, Message::Columnar(batch), abort, blocked_ns)
+                        .send(idx, Message::Batch(Arc::new(batch)), abort, blocked_ns)
                         .is_err()
                     {
                         *failed = true;
                     }
                 } else {
                     // Short batch: it *becomes* the pending buffer.
-                    last.cbufs[idx] = batch;
+                    last.bufs[idx] = batch;
                 }
                 return;
             }
@@ -1120,7 +1043,6 @@ impl Collector for ChannelCollector {
         let Self {
             routes,
             batch_size,
-            columnar,
             abort,
             istats,
             failed,
@@ -1132,25 +1054,8 @@ impl Collector for ChannelCollector {
         if n == 0 {
             return;
         }
-        // Clone for all but the last route; move into the last. On the
-        // columnar plane the tuple is decomposed into the routes' pending
-        // column batches instead of buffered as a row.
-        if *columnar {
-            for r in routes.iter_mut().take(n - 1) {
-                if r.buffer_tuple_columnar(tuple.clone(), *batch_size, abort, blocked_ns)
-                    .is_err()
-                {
-                    *failed = true;
-                }
-            }
-            if routes[n - 1]
-                .buffer_tuple_columnar(tuple, *batch_size, abort, blocked_ns)
-                .is_err()
-            {
-                *failed = true;
-            }
-            return;
-        }
+        // Clone for all but the last route; move into the last. The tuple
+        // is decomposed into each route's pending column batch.
         for r in routes.iter_mut().take(n - 1) {
             if r.buffer_tuple(tuple.clone(), *batch_size, abort, blocked_ns)
                 .is_err()
@@ -1512,10 +1417,6 @@ impl Executor {
         };
         let n_nodes = graph.nodes.len();
         let n_instances: usize = graph.nodes.iter().map(|n| n.parallelism).sum();
-        // With `batch_size == 1` every columnar message carries one row and
-        // pays full batch bookkeeping — a documented regression against the
-        // row plane — so single-tuple batching runs on the row plane.
-        let columnar = self.cfg.columnar && self.cfg.batch_size > 1;
         let abort = Arc::new(AtomicBool::new(false));
         let first_error: Arc<Mutex<Option<PipelineError>>> = Arc::new(Mutex::new(None));
         let epoch = Instant::now();
@@ -1524,10 +1425,8 @@ impl Executor {
             Level::Info,
             "executor",
             format!(
-                "run started: {n_nodes} nodes, {n_instances} instances, batch_size={}, chaining={}, plane={}",
-                self.cfg.batch_size,
-                self.cfg.operator_chaining,
-                if columnar { "columnar" } else { "row" }
+                "run started: {n_nodes} nodes, {n_instances} instances, batch_size={}, chaining={}",
+                self.cfg.batch_size, self.cfg.operator_chaining,
             ),
         );
 
@@ -1645,7 +1544,6 @@ impl Executor {
                 let collector = ChannelCollector {
                     routes,
                     batch_size: self.cfg.batch_size,
-                    columnar,
                     abort: abort.clone(),
                     istats: istats.clone(),
                     out_count: 0,
@@ -1704,10 +1602,10 @@ impl Executor {
                         let idle_flush = self.cfg.idle_flush;
                         let shard_ctx = shard_plans[nid].as_ref().map(|plan| {
                             if instance == 0 {
-                                // Migrations move row-plane keyed state; an
-                                // operator on the vectorized path never sees
-                                // the per-tuple stash hook, so keep its
-                                // placement static.
+                                // Migrations move keyed state through the row
+                                // shim's per-tuple stash hook, which an
+                                // operator on the vectorized path never
+                                // reaches, so keep its placement static.
                                 plan.set_migratable(
                                     op.shard_handoff_supported()
                                         && op.batch_support() == BatchSupport::Row,
@@ -1929,18 +1827,16 @@ fn run_source(
     // partial batch never outlives `idle_flush`; saturating sources fill
     // batches in microseconds and flush at every punctuation instead.
     let mut last_flush = start;
-    // Columnar plane: events stream straight into column batches. With a
-    // columnar-capable chained operator they are staged per `batch_size`
-    // and driven through `process_columnar`; without a chain they go
-    // directly into the routes' pending batches (`emit_event`). A row-only
-    // chain keeps the per-tuple path (its emissions are still re-batched
-    // columnar by the collector).
-    let columnar = collector.columnar;
+    // Events stream straight into column batches. With a columnar-capable
+    // chained operator they are staged per `batch_size` and driven through
+    // `process_columnar`; without a chain they go directly into the routes'
+    // pending batches (`emit_event`). A row-only chain keeps the per-tuple
+    // path (its emissions are re-batched by the collector).
     let columnar_chain = chained
         .as_ref()
         .is_some_and(|op| op.batch_support() == BatchSupport::Columnar);
     let bs = collector.batch_size;
-    let mut staging = if columnar && columnar_chain {
+    let mut staging = if columnar_chain {
         ColumnarBatch::with_capacity(bs)
     } else {
         ColumnarBatch::default()
@@ -1962,7 +1858,7 @@ fn run_source(
         let wall = epoch.elapsed().as_nanos() as u64;
         last_ts = last_ts.max(ev.ts);
         match &mut chained {
-            Some(op) if columnar && columnar_chain => {
+            Some(op) if columnar_chain => {
                 staging.push_event(*ev, wall);
                 if staging.len() >= bs {
                     // One strided observation per batch call: the cost of
@@ -1994,8 +1890,7 @@ fn run_source(
                     istats.proc_hist.record(t0.elapsed().as_nanos() as u64);
                 }
             }
-            None if columnar => collector.emit_event(*ev, wall),
-            None => collector.emit(Tuple::from_event_wall(*ev, wall)),
+            None => collector.emit_event(*ev, wall),
         }
         emitted += 1;
         if emitted as usize % cfg.watermark_every == 0 {
@@ -2463,21 +2358,6 @@ fn run_operator(
     // Handle one envelope; tuple batches are processed back-to-back
     // without touching the channel again.
     let mut handle = |env: Envelope, collector: &mut ChannelCollector| -> Step {
-        // A shared fan-out batch becomes an owned columnar batch at the
-        // operator boundary: free when this consumer holds the last
-        // reference, one clone while sibling consumers still read it.
-        let env = match env {
-            Envelope {
-                port,
-                chan,
-                msg: Message::Shared(b),
-            } => Envelope {
-                port,
-                chan,
-                msg: Message::Columnar(Arc::try_unwrap(b).unwrap_or_else(|b| (*b).clone())),
-            },
-            env => env,
-        };
         let port = env.port as usize;
         // Late tuples are judged against the *arriving channel's* watermark,
         // not the merged minimum: the merged clock's momentary value depends
@@ -2488,79 +2368,16 @@ fn run_operator(
         // clock would have dropped still drops, and survivors still satisfy
         // the emission-floor contract (they are ≥ channel wm ≥ merged wm).
         let wm_now = table.channel_wm(port, env.chan as usize);
-        let one_tuple = |t: Tuple,
-                         op: &mut dyn Operator,
-                         collector: &mut ChannelCollector,
-                         shard: &mut Option<ShardCtx>,
-                         records_in: &mut u64,
-                         late: &mut u64,
-                         max_ts: &mut Timestamp|
-         -> Step {
-            *records_in += 1;
-            if t.ts > *max_ts {
-                *max_ts = t.ts;
-            }
-            if drop_late && t.ts < wm_now {
-                *late += 1;
-                return Step::Continue;
-            }
-            // A post-cut-over tuple for a slot whose state is still in
-            // flight to this instance: hold it (in arrival order) until
-            // the handoff is absorbed. The late-drop verdict above was
-            // final — stashed tuples are replayed without re-judging.
-            if let Some(ctx) = shard.as_mut() {
-                if ctx.should_stash(t.key) {
-                    ctx.stash.push((port, t));
-                    return Step::Continue;
-                }
-            }
-            // Strided processing-latency sampling: every `proc_every`-th
-            // tuple pays two clock reads; the rest pay nothing.
-            let t0 = (proc_every != 0 && *records_in % proc_every == 0).then(Instant::now);
-            if let Err(e) = op.process(port, t, collector) {
-                record_op_error(op.name(), e, &abort, &first_error, &log);
-                return Step::Error;
-            }
-            if let Some(t0) = t0 {
-                istats.proc_hist.record(t0.elapsed().as_nanos() as u64);
-            }
-            if *records_in % 64 == 0 {
-                istats.set_state(op.state_bytes());
-            }
-            Step::Continue
-        };
         match env.msg {
-            Message::Tuple(t) => {
-                return one_tuple(
-                    t,
-                    &mut *op,
-                    collector,
-                    &mut shard,
-                    &mut records_in,
-                    &mut late,
-                    &mut max_ts,
-                );
-            }
-            Message::Batch(ts) => {
-                for t in ts {
-                    if let Step::Error = one_tuple(
-                        t,
-                        &mut *op,
-                        collector,
-                        &mut shard,
-                        &mut records_in,
-                        &mut late,
-                        &mut max_ts,
-                    ) {
-                        return Step::Error;
-                    }
-                }
-            }
-            Message::Columnar(mut b) => {
+            Message::Batch(b) => {
                 debug_assert!(b.is_dense(), "wire batches are dense");
                 if op.batch_support() == BatchSupport::Columnar {
-                    // Vectorized path: account, late-drop, and process the
-                    // whole batch without materializing a row.
+                    // Vectorized path: take ownership (free when this
+                    // consumer holds the last reference, one clone while a
+                    // sibling consumer still reads it), then account,
+                    // late-drop, and process the whole batch without
+                    // materializing a row.
+                    let mut b = Arc::try_unwrap(b).unwrap_or_else(|b| (*b).clone());
                     records_in += b.len() as u64;
                     if let Some(m) = b.max_ts() {
                         if m > max_ts {
@@ -2586,24 +2403,47 @@ fn run_operator(
                     istats.set_state(op.state_bytes());
                 } else {
                     // Row shim: materialize each row at the input boundary
-                    // of a row-only (stateful) operator.
+                    // of a row-only (stateful) operator, reading the batch
+                    // in place.
                     for i in 0..b.len() {
-                        if let Step::Error = one_tuple(
-                            b.tuple_at(i),
-                            &mut *op,
-                            collector,
-                            &mut shard,
-                            &mut records_in,
-                            &mut late,
-                            &mut max_ts,
-                        ) {
+                        let t = b.tuple_at(i);
+                        records_in += 1;
+                        if t.ts > max_ts {
+                            max_ts = t.ts;
+                        }
+                        if drop_late && t.ts < wm_now {
+                            late += 1;
+                            continue;
+                        }
+                        // A post-cut-over tuple for a slot whose state is
+                        // still in flight to this instance: hold it (in
+                        // arrival order) until the handoff is absorbed. The
+                        // late-drop verdict above was final — stashed
+                        // tuples are replayed without re-judging.
+                        if let Some(ctx) = shard.as_mut() {
+                            if ctx.should_stash(t.key) {
+                                ctx.stash.push((port, t));
+                                continue;
+                            }
+                        }
+                        // Strided processing-latency sampling: every
+                        // `proc_every`-th tuple pays two clock reads; the
+                        // rest pay nothing.
+                        let t0 =
+                            (proc_every != 0 && records_in % proc_every == 0).then(Instant::now);
+                        if let Err(e) = op.process(port, t, collector) {
+                            record_op_error(op.name(), e, &abort, &first_error, &log);
                             return Step::Error;
+                        }
+                        if let Some(t0) = t0 {
+                            istats.proc_hist.record(t0.elapsed().as_nanos() as u64);
+                        }
+                        if records_in % 64 == 0 {
+                            istats.set_state(op.state_bytes());
                         }
                     }
                 }
             }
-            // Rewritten to `Columnar` at the top of `handle`.
-            Message::Shared(_) => unreachable!("shared batches are unwrapped on entry"),
             Message::Watermark(ts) => {
                 table.update(env.port as usize, env.chan as usize, ts);
                 let m = table.min();
@@ -2805,61 +2645,6 @@ fn run_sink(
     let mut table = WatermarkTable::new(&layout);
     let mut sink_wm = Timestamp::MIN;
     let mut n: u64 = 0;
-    let sink_one = |t: Tuple, n: &mut u64, sink_wm: Timestamp, enforce_floor: bool| {
-        *n += 1;
-        // Sink-side event-time monotonicity: a tuple behind the merged
-        // watermark means some upstream task emitted late data the
-        // watermark protocol had already sealed off. Ports fed straight
-        // by a source task are exempt (`enforce_floor == false`): sources
-        // — including chains fused into them — legitimately emit behind
-        // their own watermark when `watermark_lag` under-estimates
-        // disorder, and only the next *operator* task applies
-        // `drop_late`; a sink wired directly after one has no such
-        // shield by design.
-        #[cfg(feature = "invariant-checks")]
-        assert!(
-            !enforce_floor || t.ts >= sink_wm,
-            "invariant violation: sink received tuple at {:?} behind merged watermark {sink_wm:?}",
-            t.ts
-        );
-        #[cfg(not(feature = "invariant-checks"))]
-        let _ = (sink_wm, enforce_floor);
-        shared.count.fetch_add(1, Ordering::Relaxed);
-        if t.wall > 0 && *n % shared.stride as u64 == 0 {
-            let now = epoch.elapsed().as_nanos() as u64;
-            shared.latencies_ns.lock().push(now.saturating_sub(t.wall));
-        }
-        if shared.mode == SinkMode::Collect {
-            shared.tuples.lock().push(t);
-        }
-    };
-    // Column-path delivery: one atomic add per batch; rows are
-    // materialized only in Collect mode. Reads the batch by reference so
-    // shared fan-out batches are consumed without a clone.
-    let sink_batch = |b: &ColumnarBatch, n: &mut u64, sink_wm: Timestamp, enforce_floor: bool| {
-        #[cfg(not(feature = "invariant-checks"))]
-        let _ = (sink_wm, enforce_floor);
-        shared.count.fetch_add(b.len() as u64, Ordering::Relaxed);
-        for i in 0..b.len() {
-            *n += 1;
-            #[cfg(feature = "invariant-checks")]
-            assert!(
-                !enforce_floor || b.ts[i] >= sink_wm,
-                "invariant violation: sink received tuple at {:?} behind merged watermark {sink_wm:?}",
-                b.ts[i]
-            );
-            if b.wall[i] > 0 && *n % shared.stride as u64 == 0 {
-                let now = epoch.elapsed().as_nanos() as u64;
-                shared
-                    .latencies_ns
-                    .lock()
-                    .push(now.saturating_sub(b.wall[i]));
-            }
-            if shared.mode == SinkMode::Collect {
-                shared.tuples.lock().push(b.tuple_at(i));
-            }
-        }
-    };
     let mut rounds: u64 = 0;
     loop {
         if abort.load(Ordering::Relaxed) {
@@ -2876,19 +2661,44 @@ fn run_sink(
         if rounds % 64 == 0 {
             istats.note_queue_depth(rx.len());
         }
-        // The emission-floor contract only binds operator tasks; a port
-        // whose upstream is a source task may carry late tuples (see
-        // `sink_one`).
-        let enforce_floor = !layout[env.port as usize].2;
         match env.msg {
-            Message::Tuple(t) => sink_one(t, &mut n, sink_wm, enforce_floor),
-            Message::Batch(ts) => {
-                for t in ts {
-                    sink_one(t, &mut n, sink_wm, enforce_floor);
+            // One atomic add per batch; rows are materialized only in
+            // Collect mode. The batch is read by reference, so shared
+            // fan-out batches are consumed without a clone.
+            Message::Batch(b) => {
+                shared.count.fetch_add(b.len() as u64, Ordering::Relaxed);
+                // Sink-side event-time monotonicity: a tuple behind the
+                // merged watermark means some upstream task emitted late
+                // data the watermark protocol had already sealed off. The
+                // emission-floor contract only binds operator tasks: ports
+                // fed straight by a source task are exempt, because sources
+                // — including chains fused into them — legitimately emit
+                // behind their own watermark when `watermark_lag`
+                // under-estimates disorder, and only the next *operator*
+                // task applies `drop_late`; a sink wired directly after one
+                // has no such shield by design.
+                #[cfg(feature = "invariant-checks")]
+                let enforce_floor = !layout[env.port as usize].2;
+                for i in 0..b.len() {
+                    n += 1;
+                    #[cfg(feature = "invariant-checks")]
+                    assert!(
+                        !enforce_floor || b.ts[i] >= sink_wm,
+                        "invariant violation: sink received tuple at {:?} behind merged watermark {sink_wm:?}",
+                        b.ts[i]
+                    );
+                    if b.wall[i] > 0 && n % shared.stride as u64 == 0 {
+                        let now = epoch.elapsed().as_nanos() as u64;
+                        shared
+                            .latencies_ns
+                            .lock()
+                            .push(now.saturating_sub(b.wall[i]));
+                    }
+                    if shared.mode == SinkMode::Collect {
+                        shared.tuples.lock().push(b.tuple_at(i));
+                    }
                 }
             }
-            Message::Columnar(b) => sink_batch(&b, &mut n, sink_wm, enforce_floor),
-            Message::Shared(b) => sink_batch(&b, &mut n, sink_wm, enforce_floor),
             Message::Watermark(ts) => {
                 table.update(env.port as usize, env.chan as usize, ts);
                 let m = table.min();

@@ -8,7 +8,7 @@
 //! match — Section 4.2.2).
 //!
 //! `Tuple` is the *row format*: self-contained, heap-backed, the unit the
-//! stateful operator tier processes. On the columnar plane the same record
+//! stateful operator tier processes. On the wire the same record
 //! travels decomposed into per-field arrays ([`crate::columnar::
 //! ColumnarBatch`]); the runtime materializes a `Tuple` from a batch row
 //! only at stateful-operator and collecting-sink boundaries. The two

@@ -65,8 +65,8 @@ pub enum Code {
     /// graph checks — the declaration/implementation mismatch is only
     /// observable once a payload arrives.
     ColumnarPayloadMismatch,
-    /// G017: an environment override (`ASP_DATA_PLANE`, `ASP_SHARDS`) held a
-    /// value the executor does not understand. Raised by
+    /// G017: the `ASP_SHARDS` environment override held a value the
+    /// executor does not understand. Raised by
     /// [`crate::runtime::Executor::run`] rather than the graph checks: the
     /// defect lives in the process environment, not the graph, but silently
     /// ignoring a typo'd override would run the wrong configuration.

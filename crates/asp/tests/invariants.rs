@@ -85,8 +85,7 @@ fn emission_behind_watermark_aborts_the_run() {
 /// degradation path. When operator chaining fuses the whole pipeline into
 /// the source task, no such task exists before the sink — so the sink must
 /// accept the late tuples rather than flag a (false) contract violation.
-/// Regression test: found by the cross-plane oracle, reproduced on both
-/// data planes.
+/// Regression test: found by the columnar oracle.
 #[test]
 fn late_tuples_from_a_fused_source_chain_reach_the_sink() {
     use asp::graph::SourceConfig;
@@ -96,30 +95,27 @@ fn late_tuples_from_a_fused_source_chain_reach_the_sink() {
         .iter()
         .map(|&m| Event::new(EventType(0), 0, Timestamp::from_minutes(m), 1.0))
         .collect();
-    for columnar in [false, true] {
-        let mut g = GraphBuilder::new();
-        let src = g.source_with(
-            "s",
-            SourceConfig::new(disordered.clone()).with_watermark_every(2),
-            1,
-        );
-        // Forward + equal parallelism: the map fuses into the source task,
-        // so nothing between the source and the sink applies `drop_late`.
-        let op = g.unary(
-            src,
-            Exchange::Forward,
-            1,
-            Box::new(|_| Box::new(MapOp::identity("id"))),
-        );
-        let sink = g.sink(op, Exchange::Forward);
-        let report = Executor::new(ExecutorConfig {
-            columnar,
-            batch_size: 1,
-            operator_chaining: true,
-            ..ExecutorConfig::default()
-        })
-        .run(g)
-        .expect("late tuples on a source-fed sink port are not a violation");
-        assert_eq!(report.sink_count(sink), 4, "columnar={columnar}");
-    }
+    let mut g = GraphBuilder::new();
+    let src = g.source_with(
+        "s",
+        SourceConfig::new(disordered).with_watermark_every(2),
+        1,
+    );
+    // Forward + equal parallelism: the map fuses into the source task, so
+    // nothing between the source and the sink applies `drop_late`.
+    let op = g.unary(
+        src,
+        Exchange::Forward,
+        1,
+        Box::new(|_| Box::new(MapOp::identity("id"))),
+    );
+    let sink = g.sink(op, Exchange::Forward);
+    let report = Executor::new(ExecutorConfig {
+        batch_size: 1,
+        operator_chaining: true,
+        ..ExecutorConfig::default()
+    })
+    .run(g)
+    .expect("late tuples on a source-fed sink port are not a violation");
+    assert_eq!(report.sink_count(sink), 4);
 }

@@ -379,3 +379,112 @@ fn worker_panic_is_reported() {
     let err = Executor::new(ExecutorConfig::default()).run(g).unwrap_err();
     assert!(err.to_string().contains("panic"), "{err}");
 }
+
+/// Fails with [`asp::OpError::Failed`] once it has seen `k` tuples, either
+/// through the row shim (`columnar == false`) or through
+/// `process_columnar`, counting every selected row of each batch.
+struct FailAt {
+    k: u64,
+    seen: u64,
+    columnar: bool,
+}
+
+impl FailAt {
+    fn count(&mut self, n: u64) -> Result<(), asp::OpError> {
+        self.seen += n;
+        if self.seen >= self.k {
+            return Err(asp::OpError::Failed {
+                operator: "fail_at".to_string(),
+                reason: format!("injected failure at tuple {}", self.k),
+            });
+        }
+        Ok(())
+    }
+}
+
+impl asp::operator::Operator for FailAt {
+    fn process(
+        &mut self,
+        _input: usize,
+        tuple: Tuple,
+        out: &mut dyn asp::operator::Collector,
+    ) -> Result<(), asp::OpError> {
+        self.count(1)?;
+        out.emit(tuple);
+        Ok(())
+    }
+
+    fn batch_support(&self) -> asp::operator::BatchSupport {
+        if self.columnar {
+            asp::operator::BatchSupport::Columnar
+        } else {
+            asp::operator::BatchSupport::Row
+        }
+    }
+
+    fn process_columnar(
+        &mut self,
+        _input: usize,
+        batch: &mut asp::columnar::ColumnarBatch,
+    ) -> Result<(), asp::OpError> {
+        self.count(batch.selected_len() as u64)
+    }
+
+    fn name(&self) -> &str {
+        "fail_at"
+    }
+}
+
+/// Fault-injection table: an operator failing at its k-th tuple — row-only
+/// and columnar, single-instance and 2-way sharded, one-row and 64-row
+/// batches — must end the run with [`asp::PipelineError::Operator`] within
+/// 10 s. `Executor::run` joins every worker, source, sink and helper
+/// thread before it returns, so a result inside the deadline also means
+/// nothing hung. The inboxes are tiny so upstream tasks are blocked on
+/// backpressure when the failure strikes.
+#[test]
+fn operator_failure_is_a_prompt_typed_error() {
+    for columnar in [false, true] {
+        for shards in [None, Some(2)] {
+            for batch_size in [1usize, 64] {
+                let ctx = format!("columnar={columnar} shards={shards:?} batch_size={batch_size}");
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let mut g = GraphBuilder::new();
+                    let src = g.source("s", events(0, &(0..16).collect::<Vec<_>>(), 0..500), 1);
+                    let f = g.unary(
+                        src,
+                        Exchange::Hash,
+                        1,
+                        Box::new(move |_| {
+                            Box::new(FailAt {
+                                k: 100,
+                                seen: 0,
+                                columnar,
+                            })
+                        }),
+                    );
+                    g.shard_node(f);
+                    let _sink = g.counting_sink(f, Exchange::Rebalance);
+                    let result = Executor::new(ExecutorConfig {
+                        batch_size,
+                        shards,
+                        env_errors: Vec::new(),
+                        channel_capacity: 4,
+                        ..ExecutorConfig::default()
+                    })
+                    .run(g);
+                    let _ = tx.send(result.map(|r| r.source_events));
+                });
+                match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                    Ok(Err(asp::PipelineError::Operator(asp::OpError::Failed {
+                        operator,
+                        ..
+                    }))) => assert_eq!(operator, "fail_at", "{ctx}"),
+                    Ok(other) => panic!("{ctx}: expected an operator error, got {other:?}"),
+                    Err(_) => panic!("{ctx}: run did not return within 10 s"),
+                }
+            }
+        }
+    }
+}

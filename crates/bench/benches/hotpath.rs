@@ -7,8 +7,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use bench::hotpath::{
-    dense_stream, run_chain, run_chain_row, run_fanout, run_window_join,
-    run_window_join_global_scan, run_window_join_keyed, stream, BATCH_SIZES,
+    dense_stream, run_chain, run_fanout, run_window_join, run_window_join_global_scan,
+    run_window_join_keyed, stream, BATCH_SIZES,
 };
 
 const CHAIN_N: usize = 50_000;
@@ -26,27 +26,6 @@ fn bench_chain(c: &mut Criterion) {
             })
         });
     }
-    g.finish();
-}
-
-/// Columnar vs row data plane on the identical filter→map graph at the
-/// headline batch size — the criterion-tracked form of the
-/// `speedup_filter_map_columnar_vs_row_256` ratio.
-fn bench_chain_planes(c: &mut Criterion) {
-    let mut g = c.benchmark_group("hotpath_chain_planes");
-    g.throughput(Throughput::Elements(CHAIN_N as u64));
-    g.bench_function("columnar_256", |b| {
-        b.iter(|| {
-            let (report, sink) = run_chain(stream(CHAIN_N, 4, 1), 256);
-            black_box(report.sink_count(sink))
-        })
-    });
-    g.bench_function("row_256", |b| {
-        b.iter(|| {
-            let (report, sink) = run_chain_row(stream(CHAIN_N, 4, 1), 256);
-            black_box(report.sink_count(sink))
-        })
-    });
     g.finish();
 }
 
@@ -107,6 +86,6 @@ fn bench_window_join_keyed(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_chain, bench_chain_planes, bench_fanout, bench_window_join, bench_window_join_keyed
+    targets = bench_chain, bench_fanout, bench_window_join, bench_window_join_keyed
 }
 criterion_main!(benches);

@@ -13,11 +13,10 @@
 //! meaningful, just noisier. `--assert-keyed-floor` exits nonzero if the
 //! key-partitioned window join at K = 64, batch 64 falls below the
 //! global-scan baseline — the CI regression gate for the state layout.
-//! `--assert-columnar-floor` exits nonzero if the columnar filter→map
-//! chain at batch 256 falls below the row plane on the same graph (the
-//! gate for the columnar data plane), or if the batch-1 crossover drops
-//! below 0.9× the row plane (the gate for the automatic row-plane
-//! fallback). `--assert-shard-floor` exits nonzero if the adaptive
+//! `--assert-columnar-floor` exits nonzero if the filter→map chain at
+//! batch 256 runs less than 4× the same chain at batch 1 in the same run
+//! (`speedup_filter_map_256_vs_1`, the gate for batch amortization on the
+//! columnar data plane). `--assert-shard-floor` exits nonzero if the adaptive
 //! multi-shard zipf join falls below 1.3× static hashing or 3× the
 //! single-instance run; the worker count auto-sizes to the host
 //! (`cores.clamp(2, 8)`, the `shard_workers` field) and the floor is
@@ -33,10 +32,6 @@
 //! replay of identical streams and must agree on every sink count before
 //! the ratio is recorded.
 //!
-//! The filter→map chain is swept twice: on the columnar plane (the
-//! default) and pinned to the row plane (`filter_map_chain_row`), giving
-//! the `speedup_filter_map_columnar_vs_row_256` headline.
-//!
 //! After the sweep, one *instrumented* run of the filter→map chain at the
 //! default batch size exports the runtime's full telemetry (per-operator
 //! latency histograms, watermark-lag / queue-depth / backpressure gauges,
@@ -47,7 +42,7 @@
 use std::io::Write as _;
 
 use bench::hotpath::{
-    dense_stream, run_chain, run_chain_instrumented, run_chain_row, run_fanout, run_interval_join,
+    dense_stream, run_chain, run_chain_instrumented, run_fanout, run_interval_join,
     run_window_join, run_window_join_global_scan, run_window_join_keyed, run_window_join_sharded,
     stream, zipf_stream, BATCH_SIZES, KEY_CARDINALITIES, ZIPF_KEYS,
 };
@@ -92,9 +87,6 @@ struct Output {
     events: Events,
     repetitions: usize,
     filter_map_chain: Vec<Point>,
-    /// The same chain pinned to the row data plane (`columnar: false`) —
-    /// the denominator for the columnar speedup.
-    filter_map_chain_row: Vec<Point>,
     hash_fanout_x4: Vec<Point>,
     window_join: Vec<Point>,
     /// Key-partitioned window join swept over K × batch_size.
@@ -126,15 +118,10 @@ struct Output {
     /// join over the global-scan baseline at K=64, batch 64. Target ≥ 3×;
     /// `--assert-keyed-floor` fails the run if it drops below 1×.
     speedup_window_join_keyed_k64_vs_global_scan: f64,
-    /// Headline number for the columnar data plane: filter→map chain on
-    /// the columnar plane over the row plane at batch 256. Target ≥ 1.5×;
-    /// `--assert-columnar-floor` fails the run if it drops below 1×.
-    speedup_filter_map_columnar_vs_row_256: f64,
-    /// The `batch_size == 1` crossover: columnar-configured chain over the
-    /// row chain at batch 1. The executor falls back to the row plane at
-    /// batch 1, so this must sit at ~1× — `--assert-columnar-floor` fails
-    /// the run if it drops below 0.9× (the old regression was ~0.5×).
-    speedup_filter_map_columnar_vs_row_1: f64,
+    /// Batch amortization on the columnar data plane: filter→map chain
+    /// throughput at batch_size=256 over batch_size=1 in the same run.
+    /// `--assert-columnar-floor` fails the run if it drops below 4×.
+    speedup_filter_map_256_vs_1: f64,
     /// Headline for adaptive sharding: zipf-skewed keyed join, adaptive
     /// over static placement at `shard_workers` workers. Target ≥ 1.3× on
     /// ≥ 4 cores; `--assert-shard-floor` gates on it (skipped below
@@ -288,16 +275,12 @@ fn main() {
         let (r, s) = run_chain(stream(chain_n, 4, 1), bs);
         (r.throughput(), src_avg(&r), r.sink_count(s))
     });
-    let chain_row = sweep("filter_map_row", &|bs| {
-        let (r, s) = run_chain_row(stream(chain_n, 4, 1), bs);
-        (r.throughput(), src_avg(&r), r.sink_count(s))
-    });
-    // Same graph, same input: the planes must agree on the output.
-    for (c, r) in chain.iter().zip(&chain_row) {
+    // Same graph, same input: every batch size must agree on the output.
+    for p in &chain[1..] {
         assert_eq!(
-            c.sink_count, r.sink_count,
-            "columnar and row planes disagree at batch_size={}",
-            c.batch_size
+            p.sink_count, chain[0].sink_count,
+            "filter→map chain output depends on batch_size={}",
+            p.batch_size
         );
     }
     let fanout = sweep("hash_fanout_x4", &|bs| {
@@ -501,12 +484,8 @@ fn main() {
     eprintln!("filter_map speedup (batch 64 vs 1): {speedup:.2}x");
     let keyed_speedup = keyed_at(&keyed, 64, 64) / keyed_at(&global_scan, 64, 64);
     eprintln!("window_join keyed speedup at K=64, batch 64 (vs global scan): {keyed_speedup:.2}x");
-    let columnar_speedup = at(&chain, 256) / at(&chain_row, 256);
-    eprintln!("filter_map columnar speedup at batch 256 (vs row plane): {columnar_speedup:.2}x");
-    let crossover_bs1 = at(&chain, 1) / at(&chain_row, 1);
-    eprintln!(
-        "filter_map columnar-config vs row at batch 1 (fallback crossover): {crossover_bs1:.2}x"
-    );
+    let amortization = at(&chain, 256) / at(&chain, 1);
+    eprintln!("filter_map speedup (batch 256 vs 1): {amortization:.2}x");
     let sharded_at = |shards: usize, adaptive: bool| -> f64 {
         sharded
             .iter()
@@ -531,7 +510,6 @@ fn main() {
         },
         repetitions: reps,
         filter_map_chain: chain,
-        filter_map_chain_row: chain_row,
         hash_fanout_x4: fanout,
         window_join: join,
         window_join_keyed: keyed,
@@ -542,8 +520,7 @@ fn main() {
         window_join_sharded: sharded,
         speedup_filter_map_64_vs_1: speedup,
         speedup_window_join_keyed_k64_vs_global_scan: keyed_speedup,
-        speedup_filter_map_columnar_vs_row_256: columnar_speedup,
-        speedup_filter_map_columnar_vs_row_1: crossover_bs1,
+        speedup_filter_map_256_vs_1: amortization,
         speedup_shard_adaptive_vs_static: shard_vs_static,
         speedup_shard_adaptive_vs_single: shard_vs_single,
         multi_patterns: multi_points,
@@ -562,25 +539,12 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if args.iter().any(|a| a == "--assert-columnar-floor") {
-        if columnar_speedup < 1.0 {
-            eprintln!(
-                "FAIL: columnar filter→map chain at batch 256 regressed below \
-                 the row plane ({columnar_speedup:.2}x < 1.00x)"
-            );
-            std::process::exit(1);
-        }
-        // The batch-1 crossover: the executor falls back to the row plane
-        // at batch_size == 1, so a columnar-configured run must no longer
-        // pay the one-row column-set tax (historically ~0.5×).
-        if crossover_bs1 < 0.9 {
-            eprintln!(
-                "FAIL: columnar-configured chain at batch 1 regressed below \
-                 the row plane ({crossover_bs1:.2}x < 0.90x) — the row-plane \
-                 fallback is not engaging"
-            );
-            std::process::exit(1);
-        }
+    if args.iter().any(|a| a == "--assert-columnar-floor") && amortization < 4.0 {
+        eprintln!(
+            "FAIL: filter→map chain at batch 256 fell below 4x the same chain \
+             at batch 1 ({amortization:.2}x)"
+        );
+        std::process::exit(1);
     }
     if args.iter().any(|a| a == "--assert-multi-floor") && multi_speedup < 3.0 {
         eprintln!(

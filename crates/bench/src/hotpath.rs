@@ -9,10 +9,7 @@
 //!   identity map into a counting sink. With per-tuple sends the channel
 //!   handoff dominates; micro-batching amortizes it `batch_size`-fold.
 //!   Both stages are declarative ([`FilterOp::with_spec`] /
-//!   [`MapOp::identity`]) so the whole chain runs on the columnar plane by
-//!   default; [`run_chain_row`] pins the same graph to the row plane
-//!   (`ExecutorConfig::columnar = false`) for the row-vs-columnar headline
-//!   ratio.
+//!   [`MapOp::identity`]) so the whole chain runs vectorized.
 //! * **hash fan-out** — one source hash-partitioned across 4 slots. Routes
 //!   with multiple senders cannot pre-resolve their destination, so this
 //!   exercises the per-destination output buffers.
@@ -166,7 +163,7 @@ fn run(g: GraphBuilder, batch_size: usize) -> RunReport {
 
 /// Build the filter→map chain graph shared by the measured and the
 /// instrumented runs. Both operators are declarative, so the chain runs
-/// vectorized when the executor's columnar plane is on.
+/// vectorized.
 fn chain_graph(events: Vec<Event>) -> (GraphBuilder, SinkId) {
     let mut g = GraphBuilder::new();
     let src = g.source("src", events, 1);
@@ -198,20 +195,6 @@ fn chain_graph(events: Vec<Event>) -> (GraphBuilder, SinkId) {
 pub fn run_chain(events: Vec<Event>, batch_size: usize) -> (RunReport, SinkId) {
     let (g, sink) = chain_graph(events);
     (run(g, batch_size), sink)
-}
-
-/// The same filter→map chain pinned to the row data plane — the
-/// denominator for the columnar-vs-row headline ratio. Differs from
-/// [`run_chain`] only in `ExecutorConfig::columnar`.
-pub fn run_chain_row(events: Vec<Event>, batch_size: usize) -> (RunReport, SinkId) {
-    let (g, sink) = chain_graph(events);
-    let report = Executor::new(ExecutorConfig {
-        columnar: false,
-        ..cfg(batch_size)
-    })
-    .run(g)
-    .expect("hotpath pipeline runs to completion");
-    (report, sink)
 }
 
 /// One fully instrumented run of the filter→map chain: resource sampling
@@ -415,14 +398,6 @@ mod tests {
         let (r64, s64) = run_chain(stream(4_000, 4, 1), 64);
         assert_eq!(r1.sink_count(s1), r64.sink_count(s64));
         assert_eq!(r1.source_events, 4_000);
-    }
-
-    #[test]
-    fn row_and_columnar_planes_agree_on_the_chain() {
-        let (rc, sc) = run_chain(stream(4_000, 4, 1), 64);
-        let (rr, sr) = run_chain_row(stream(4_000, 4, 1), 64);
-        assert_eq!(rc.sink_count(sc), rr.sink_count(sr));
-        assert!(rc.sink_count(sc) > 0, "filter passes ~half the stream");
     }
 
     #[test]

@@ -69,8 +69,7 @@ pub use multi::{
     run_patterns, run_patterns_with, shared_catalog, MultiOptions, MultiRun, PatternJob,
 };
 pub use optimizer::{
-    annotations_from_stats, auto_options, auto_options_with, explain_with_stats, OrderingStrategy,
-    StreamStats,
+    annotations_from_stats, auto_options, auto_options_with, OrderingStrategy, StreamStats,
 };
 pub use physical::{
     build_multi_pipeline, build_pipeline, BuildError, MultiBuild, PhysicalConfig, SourceCatalog,

@@ -30,7 +30,6 @@
 //! | M005 | adaptive rebalancing enabled with nothing to rebalance |
 //! | M006 | unbounded handoff payload — drain pause is O(state) |
 //! | M007 | several sharded nodes share one serialized migration lane |
-//! | M008 | columnar batch buffers straddle the marker cut during a drain |
 //!
 //! The pass is wired into [`crate::explain::explain_analyzed`] (under the
 //! default, single-shard [`MigrateConfig`], where only the
@@ -82,10 +81,6 @@ pub enum MigrateCode {
     /// serialized per plan, so concurrent hot spots on different
     /// operators queue behind each other.
     MultipleShardedNodes,
-    /// M008: columnar data plane under a multi-shard deployment — batch
-    /// buffers straddle the marker cut, so every drain forces an early
-    /// flush at the migration boundary.
-    ColumnarDrainBoundary,
 }
 
 impl MigrateCode {
@@ -99,7 +94,6 @@ impl MigrateCode {
         MigrateCode::RebalancerIdle,
         MigrateCode::UnboundedHandoffState,
         MigrateCode::MultipleShardedNodes,
-        MigrateCode::ColumnarDrainBoundary,
     ];
 
     /// The stable `Mxxx` string for this code.
@@ -112,7 +106,6 @@ impl MigrateCode {
             MigrateCode::RebalancerIdle => "M005",
             MigrateCode::UnboundedHandoffState => "M006",
             MigrateCode::MultipleShardedNodes => "M007",
-            MigrateCode::ColumnarDrainBoundary => "M008",
         }
     }
 }
@@ -145,8 +138,6 @@ pub struct MigrateConfig {
     pub shards: Option<usize>,
     /// Whether the adaptive hot-key rebalancer is enabled.
     pub adaptive: bool,
-    /// Whether the columnar (SoA) data plane is enabled.
-    pub columnar: bool,
     /// Per-operator memory limit (bounds the handoff payload), bytes.
     pub memory_limit: Option<usize>,
 }
@@ -158,7 +149,6 @@ impl MigrateConfig {
         MigrateConfig {
             shards: Some(shards),
             adaptive: true,
-            columnar: false,
             memory_limit: None,
         }
     }
@@ -269,16 +259,6 @@ impl Walk<'_> {
                             &typed.label,
                             "no memory limit bounds the handoff payload — the drain's \
                              watermark-freeze window is O(operator state)"
-                                .to_string(),
-                        );
-                    }
-                    if self.cfg.columnar {
-                        self.warn(
-                            MigrateCode::ColumnarDrainBoundary,
-                            &typed.label,
-                            "columnar batch buffers straddle the marker cut — every \
-                             drain forces an early batch flush at the migration \
-                             boundary"
                                 .to_string(),
                         );
                     }
@@ -550,19 +530,6 @@ mod tests {
             partitioning: Partitioning::Global,
         });
         assert!(codes(&global, &MigrateConfig::sharded(4)).contains(&MigrateCode::RebalancerIdle));
-    }
-
-    #[test]
-    fn m008_fires_on_columnar_sharded_nodes() {
-        let p = plan(bykey_join(JoinWindowing::Sliding {
-            size: Duration::from_minutes(4),
-            slide: Duration::from_minutes(1),
-        }));
-        let cfg = MigrateConfig {
-            columnar: true,
-            ..MigrateConfig::sharded(4)
-        };
-        assert!(codes(&p, &cfg).contains(&MigrateCode::ColumnarDrainBoundary));
     }
 
     #[test]

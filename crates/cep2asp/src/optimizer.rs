@@ -656,151 +656,3 @@ mod tests {
         assert_eq!(run.dedup_matches(), oracle);
     }
 }
-
-/// Annotate a plan with estimated per-node rates from measured statistics
-/// — the cost model behind [`auto_options`], made visible (an `EXPLAIN
-/// ANALYZE`-style view).
-///
-/// Scans show `rate × pass`; joins show the expected output rate
-/// `rate_l · rate_r · W` (candidate pairs per minute before θ).
-pub fn explain_with_stats(
-    plan: &crate::plan::LogicalPlan,
-    pattern: &Pattern,
-    stats: &StreamStats,
-) -> String {
-    // A plan handed to the cost annotator after option selection (or any
-    // future rewrite) must still satisfy every plan invariant.
-    #[cfg(debug_assertions)]
-    {
-        let res = crate::typecheck::typecheck(plan);
-        assert!(
-            res.is_clean(),
-            "plan fails typecheck before cost annotation:\n{}",
-            res.render()
-        );
-    }
-    let mut out = format!("-- mapping: {}\n", plan.mapping);
-    annotate(&plan.root, pattern, stats, 0, &mut out);
-    out
-}
-
-fn annotate(
-    node: &crate::plan::PlanNode,
-    pattern: &Pattern,
-    stats: &StreamStats,
-    depth: usize,
-    out: &mut String,
-) -> f64 {
-    use crate::plan::PlanNode;
-    use std::fmt::Write;
-    let pad = "  ".repeat(depth);
-    match node {
-        PlanNode::Scan {
-            type_name,
-            leaf,
-            var,
-            ..
-        } => {
-            let rate = stats.rate(leaf.etype);
-            let pass = stats.pass_rate(pattern, leaf);
-            let eff = rate * pass;
-            let _ = writeln!(
-                out,
-                "{pad}Scan {type_name} [e{}]  ~{rate:.2} ev/min × pass {:.1}% ⇒ {eff:.3} ev/min",
-                var + 1,
-                pass * 100.0
-            );
-            eff
-        }
-        PlanNode::Join {
-            left,
-            right,
-            windowing,
-            span_ms,
-            ..
-        } => {
-            // Reserve the line, fill after children are annotated.
-            let header_at = out.len();
-            let l = annotate(left, pattern, stats, depth + 1, out);
-            let r = annotate(right, pattern, stats, depth + 1, out);
-            let w_min = *span_ms as f64 / 60_000.0;
-            let est = l * r * w_min; // candidate pairs per minute
-            let header = format!("{pad}Join {windowing}  ~{est:.3} candidates/min\n");
-            out.insert_str(header_at, &header);
-            est
-        }
-        PlanNode::Union { inputs } => {
-            let header_at = out.len();
-            let sum: f64 = inputs
-                .iter()
-                .map(|i| annotate(i, pattern, stats, depth + 1, out))
-                .sum();
-            let header = format!("{pad}Union  ~{sum:.3} ev/min\n");
-            out.insert_str(header_at, &header);
-            sum
-        }
-        PlanNode::Aggregate {
-            input, m, window, ..
-        } => {
-            let header_at = out.len();
-            let inner = annotate(input, pattern, stats, depth + 1, out);
-            let per_window = inner * window.size.millis() as f64 / 60_000.0;
-            let header = format!("{pad}Aggregate count ≥ {m}  ~{per_window:.2} relevant/window\n");
-            out.insert_str(header_at, &header);
-            inner
-        }
-        PlanNode::NextOccurrence { trigger, marker, w } => {
-            let header_at = out.len();
-            let t = annotate(trigger, pattern, stats, depth + 1, out);
-            let m_rate = stats.rate(marker.etype) * stats.pass_rate(pattern, marker);
-            let header = format!(
-                "{pad}NextOccurrence(¬{} ~{m_rate:.3} ev/min, hold {w})\n",
-                marker.type_name
-            );
-            out.insert_str(header_at, &header);
-            t
-        }
-        PlanNode::Project { input, layout } => {
-            let header_at = out.len();
-            let inner = annotate(input, pattern, stats, depth + 1, out);
-            let cols: Vec<String> = layout.iter().map(|v| format!("e{}", v + 1)).collect();
-            let header = format!("{pad}Project [{}]  ~{inner:.3} ev/min\n", cols.join(", "));
-            out.insert_str(header_at, &header);
-            inner
-        }
-    }
-}
-
-#[cfg(test)]
-mod explain_tests {
-    use super::*;
-    use asp::event::Attr;
-    use asp::time::Timestamp;
-    use sea::pattern::{builders, WindowSpec};
-    use sea::predicate::{CmpOp, Predicate};
-
-    #[test]
-    fn explain_annotates_rates_and_estimates() {
-        let q = EventType(0);
-        let v = EventType(1);
-        let mk = |t: EventType, n: usize| -> Vec<Event> {
-            (0..n)
-                .map(|i| Event::new(t, 1, Timestamp(i as i64 * 60_000), (i % 100) as f64))
-                .collect()
-        };
-        let sources = HashMap::from([(q, mk(q, 600)), (v, mk(v, 600))]);
-        let stats = StreamStats::from_sources(&sources);
-        let p = builders::seq(
-            &[(q, "Q"), (v, "V")],
-            WindowSpec::minutes(10),
-            vec![Predicate::threshold(0, Attr::Value, CmpOp::Le, 49.0)],
-        );
-        let plan = crate::translate(&p, &crate::MapperOptions::o1()).unwrap();
-        let text = explain_with_stats(&plan, &p, &stats);
-        assert!(text.contains("Scan Q"), "{text}");
-        assert!(text.contains("pass 50.0%"), "{text}");
-        assert!(text.contains("candidates/min"), "{text}");
-        // Estimated candidates: 0.5 × 1.0 × 10 = 5/min.
-        assert!(text.contains("~5.0") || text.contains("~4.9"), "{text}");
-    }
-}

@@ -95,8 +95,14 @@ fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
                 i += 1;
             }
             '<' | '>' | '=' | '!' => {
-                let two = &input[i..(i + 2).min(input.len())];
-                if let Some(op) = CmpOp::parse(two) {
+                // Check the next *byte* before slicing: a multibyte
+                // character right after the operator would put `i + 2`
+                // inside it, and slicing there panics.
+                let two = b
+                    .get(i + 1)
+                    .filter(|n| n.is_ascii())
+                    .and_then(|_| CmpOp::parse(&input[i..i + 2]));
+                if let Some(op) = two {
                     toks.push(Tok::Cmp(op));
                     i += 2;
                 } else if let Some(op) = CmpOp::parse(&input[i..i + 1]) {
@@ -624,6 +630,26 @@ mod tests {
             }
             _ => panic!(),
         }
+    }
+
+    #[test]
+    fn multibyte_character_after_an_operator_is_an_error_not_a_panic() {
+        let mut reg = TypeRegistry::new();
+        for s in [
+            "PATTERN SEQ(Q a, V b) WHERE a.value <é 3 WITHIN 4 MINUTES",
+            "PATTERN SEQ(Q a, V b) WHERE a.value =😀 3 WITHIN 4 MINUTES",
+            "PATTERN SEQ(Q a, V b) WHERE a.value !ß",
+            "<é",
+        ] {
+            assert!(parse(s, &mut reg).is_err(), "{s}");
+        }
+        // The one-byte operator before the multibyte character still lexes.
+        let e = parse(
+            "PATTERN SEQ(Q a, V b) WHERE a.value <é 3 WITHIN 4 MINUTES",
+            &mut reg,
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("unexpected character"), "{e}");
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! Cross-plane equivalence oracle for the columnar data plane: random
-//! stateless pipelines (spec filters, declarative maps, closure filters,
-//! unions) × batch sizes × watermark cadences, each executed once on the
-//! columnar plane and once pinned to the row plane. The two runs must
-//! deliver the identical sink multiset — same matches ([`MatchKey`]), same
-//! keys and working timestamps — and the same late-drop accounting.
+//! Equivalence oracle for the columnar operator path: random stateless
+//! pipelines (spec filters, declarative maps, closure filters, unions) ×
+//! batch sizes × watermark cadences, each executed twice — as built, and
+//! as a *row-shim twin* whose every stage is wrapped to declare
+//! [`BatchSupport::Row`], so the runtime drives it one materialized tuple
+//! at a time through [`Operator::process`]. The two runs must deliver the
+//! identical sink multiset — same matches ([`MatchKey`]), same keys and
+//! working timestamps — and the same late-drop accounting.
 //!
-//! Because `ExecutorConfig::columnar` is the *only* knob that differs, any
-//! divergence is a columnar-plane bug by construction: the row plane is
-//! the long-standing reference semantics. Closure stages force the
-//! runtime's row shim mid-pipeline, so mixed chains (vectorized σ feeding
-//! a row-only op and back) are covered, not just all-columnar ones.
+//! The wrapper is the *only* difference between the runs, so any
+//! divergence is a bug in the vectorized path (`process_columnar`, batch
+//! routing, selection-vector compaction). Closure stages force the row
+//! shim mid-pipeline in the as-built run too, so mixed chains (vectorized
+//! σ feeding a row-only op and back) are covered. Cases whose watermark
+//! lag covers the whole stream (nothing is ever late) are additionally
+//! checked against a naive single-threaded fold of the stages over the
+//! events, with no runtime involved.
 //!
 //! The file also pins the G016 contract: an operator that *declares*
 //! columnar support but rejects its payload at runtime surfaces as a
@@ -24,7 +29,9 @@ use asp::columnar::ColumnarBatch;
 use asp::error::{OpError, PipelineError};
 use asp::event::{Attr, Event, EventType};
 use asp::graph::{Exchange, GraphBuilder, SourceConfig};
-use asp::operator::{BatchSupport, Cmp, Collector, FilterOp, FilterSpec, MapOp, Operator, UnionOp};
+use asp::operator::{
+    BatchSupport, Cmp, Collector, FilterOp, FilterSpec, MapOp, Operator, UnionOp, VecCollector,
+};
 use asp::runtime::{Executor, ExecutorConfig, RunReport};
 use asp::time::{Duration, Timestamp};
 use asp::tuple::{MatchKey, Tuple};
@@ -72,6 +79,47 @@ impl Stage {
             Stage::Map(3) => Box::new(MapOp::ts_to_max(format!("Π{n}"))),
             Stage::Map(_) => Box::new(MapOp::ts_to_min(format!("Π{n}"))),
         }
+    }
+}
+
+/// Delegates everything to the wrapped operator but declares
+/// [`BatchSupport::Row`], so the runtime never calls `process_columnar`
+/// and feeds the operator through the row shim instead.
+struct RowShim(Box<dyn Operator>);
+
+impl Operator for RowShim {
+    fn process(
+        &mut self,
+        input: usize,
+        tuple: Tuple,
+        out: &mut dyn Collector,
+    ) -> Result<(), OpError> {
+        self.0.process(input, tuple, out)
+    }
+
+    fn on_watermark(
+        &mut self,
+        wm: Timestamp,
+        out: &mut dyn Collector,
+    ) -> Result<Timestamp, OpError> {
+        self.0.on_watermark(wm, out)
+    }
+
+    fn on_finish(&mut self, out: &mut dyn Collector) -> Result<(), OpError> {
+        self.0.on_finish(out)
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// Wrap `op` in a [`RowShim`] when building the row-shim twin.
+fn shimmed(op: Box<dyn Operator>, row_shim: bool) -> Box<dyn Operator> {
+    if row_shim {
+        Box::new(RowShim(op))
+    } else {
+        op
     }
 }
 
@@ -152,8 +200,9 @@ fn arb_case() -> impl Strategy<Value = Case> {
         )
 }
 
-/// Run the case's pipeline on one data plane and return the report + sink.
-fn run_case(case: &Case, columnar: bool) -> (RunReport, asp::graph::SinkId) {
+/// Run the case's pipeline — as built, or as its row-shim twin — and
+/// return the report + sink.
+fn run_case(case: &Case, row_shim: bool) -> (RunReport, asp::graph::SinkId) {
     let mut g = GraphBuilder::new();
     let src_cfg = |events: Vec<Event>| {
         SourceConfig::new(events)
@@ -169,7 +218,7 @@ fn run_case(case: &Case, columnar: bool) -> (RunReport, asp::graph::SinkId) {
             b,
             Exchange::Forward,
             1,
-            Box::new(|_| Box::new(UnionOp::new("∪", 2))),
+            Box::new(move |_| shimmed(Box::new(UnionOp::new("∪", 2)), row_shim)),
         )
     } else {
         g.source_with("s", src_cfg(case.events.clone()), 1)
@@ -181,12 +230,11 @@ fn run_case(case: &Case, columnar: bool) -> (RunReport, asp::graph::SinkId) {
             node,
             Exchange::Forward,
             1,
-            Box::new(move |_| stage.build(n)),
+            Box::new(move |_| shimmed(stage.build(n), row_shim)),
         );
     }
     let sink = g.sink(node, Exchange::Forward);
     let report = Executor::new(ExecutorConfig {
-        columnar,
         batch_size: case.batch_size,
         operator_chaining: case.chaining,
         ..ExecutorConfig::default()
@@ -196,6 +244,24 @@ fn run_case(case: &Case, columnar: bool) -> (RunReport, asp::graph::SinkId) {
     (report, sink)
 }
 
+/// The reference with no runtime at all: every event, as a row tuple,
+/// folded through each stage's [`Operator::process`] in turn on one thread.
+/// Equals the sink whenever nothing is late (the union only interleaves
+/// the two halves, which a multiset cannot see).
+fn naive_fold(case: &Case) -> Vec<Tuple> {
+    let mut rows: Vec<Tuple> = case.events.iter().map(|e| Tuple::from_event(*e)).collect();
+    for (n, stage) in case.stages.iter().enumerate() {
+        let mut op = stage.build(n);
+        let mut out = VecCollector::default();
+        for t in rows {
+            op.process(0, t, &mut out)
+                .expect("stateless stages never fail");
+        }
+        rows = out.out;
+    }
+    rows
+}
+
 /// One sink tuple, canonicalized: (key, ts ms, ats ms, agg bits, match id).
 type CanonRow = (u64, i64, Option<i64>, Option<u64>, MatchKey);
 
@@ -203,9 +269,8 @@ type CanonRow = (u64, i64, Option<i64>, Option<u64>, MatchKey);
 /// routing/timing metadata the stages rewrite (key, working ts, ats, agg).
 /// Wall stamps are excluded — they are harness-clock readings and differ
 /// across runs by construction.
-fn canon(report: &RunReport, sink: asp::graph::SinkId) -> Vec<CanonRow> {
-    let mut out: Vec<_> = report
-        .sink(sink)
+fn canon(rows: &[Tuple]) -> Vec<CanonRow> {
+    let mut out: Vec<_> = rows
         .iter()
         .map(|t| {
             (
@@ -231,15 +296,22 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// THE equivalence oracle: columnar and row planes agree on every
-    /// random stateless pipeline, batch size, and punctuation cadence.
+    /// THE equivalence oracle: the as-built pipeline agrees with its
+    /// row-shim twin on every random stateless pipeline, batch size, and
+    /// punctuation cadence — and with the naive fold when nothing is late.
     #[test]
-    fn columnar_and_row_planes_deliver_identical_sinks(case in arb_case()) {
-        let (rc, sc) = run_case(&case, true);
-        let (rr, sr) = run_case(&case, false);
+    fn columnar_path_agrees_with_row_shim_twin_and_naive_fold(case in arb_case()) {
+        let (rc, sc) = run_case(&case, false);
+        let (rr, sr) = run_case(&case, true);
         prop_assert_eq!(rc.sink_count(sc), rr.sink_count(sr));
-        prop_assert_eq!(canon(&rc, sc), canon(&rr, sr));
+        prop_assert_eq!(canon(rc.sink(sc)), canon(rr.sink(sr)));
         prop_assert_eq!(late_dropped(&rc), late_dropped(&rr));
+        if case.lag_minutes == 40 {
+            // Events span minutes 0..40, so a 40-minute lag never lets a
+            // watermark overtake an event.
+            prop_assert_eq!(late_dropped(&rc), 0);
+            prop_assert_eq!(canon(rc.sink(sc)), canon(&naive_fold(&case)));
+        }
     }
 }
 
@@ -278,13 +350,18 @@ impl Operator for LyingOp {
     }
 }
 
-fn lying_graph() -> GraphBuilder {
+fn lying_graph(row_shim: bool) -> GraphBuilder {
     let events: Vec<Event> = (0..64)
         .map(|i| Event::new(EventType(0), i, Timestamp::from_minutes(i as i64), 1.0))
         .collect();
     let mut g = GraphBuilder::new();
     let src = g.source("s", events, 1);
-    let op = g.unary(src, Exchange::Forward, 1, Box::new(|_| Box::new(LyingOp)));
+    let op = g.unary(
+        src,
+        Exchange::Forward,
+        1,
+        Box::new(move |_| shimmed(Box::new(LyingOp), row_shim)),
+    );
     let _sink = g.sink(op, Exchange::Forward);
     g
 }
@@ -294,12 +371,11 @@ fn lying_graph() -> GraphBuilder {
 #[test]
 fn rejected_columnar_payload_surfaces_as_g016() {
     let err = Executor::new(ExecutorConfig {
-        columnar: true,
         batch_size: 16,
         operator_chaining: false,
         ..ExecutorConfig::default()
     })
-    .run(lying_graph())
+    .run(lying_graph(false))
     .expect_err("the lying operator must fail the run");
     match err {
         PipelineError::Validation(diags) => {
@@ -314,17 +390,16 @@ fn rejected_columnar_payload_surfaces_as_g016() {
     }
 }
 
-/// The same operator is perfectly legal on the row plane — its row path
-/// works; only the columnar declaration is a lie.
+/// The same operator is perfectly legal behind the row shim — its row
+/// path works; only the columnar declaration is a lie.
 #[test]
-fn lying_operator_is_fine_on_the_row_plane() {
+fn lying_operator_is_fine_behind_the_row_shim() {
     let report = Executor::new(ExecutorConfig {
-        columnar: false,
         batch_size: 16,
         operator_chaining: false,
         ..ExecutorConfig::default()
     })
-    .run(lying_graph())
-    .expect("row plane never exercises the columnar path");
+    .run(lying_graph(true))
+    .expect("the row shim never exercises the columnar path");
     assert_eq!(report.source_events, 64);
 }

@@ -5,7 +5,8 @@
 //! as a markdown table in DESIGN.md ("Static analysis & invariants" /
 //! "Static cost model" / "Schema & partition-safety" / "Migration
 //! safety"). The retired `Pxxx` plan-lint codes survive only as alias rows
-//! naming the `S` code that now reports them.
+//! naming the `S` code that now reports them, and retired `Mxxx` codes as
+//! alias rows with no enum variant.
 //! Renaming, adding, or removing a variant without updating the docs —
 //! or documenting a code that no longer exists — fails here.
 
@@ -121,6 +122,10 @@ fn typecheck_codes_match_design_md() {
     assert_in_sync("Sxxx", &documented_codes(&design_md(), 'S'), &code);
 }
 
+/// Migration codes that no longer exist, each documented by exactly one
+/// alias row in DESIGN.md's "Retired migration codes" table.
+const RETIRED_M: &[&str] = &["M008"];
+
 #[test]
 fn migrate_codes_match_design_md() {
     let code: BTreeSet<String> = cep2asp::MigrateCode::ALL
@@ -132,7 +137,29 @@ fn migrate_codes_match_design_md() {
         cep2asp::MigrateCode::ALL.len(),
         "duplicate M code"
     );
-    assert_in_sync("Mxxx", &documented_codes(&design_md(), 'M'), &code);
+    let design = design_md();
+    for retired in RETIRED_M {
+        assert!(
+            !code.contains(*retired),
+            "{retired} is retired but still an enum variant"
+        );
+        let rows = design
+            .lines()
+            .filter(|line| {
+                line.trim()
+                    .strip_prefix('|')
+                    .and_then(|rest| rest.split('|').next())
+                    .is_some_and(|cell| cell.trim() == *retired)
+            })
+            .count();
+        assert_eq!(
+            rows, 1,
+            "{retired} must have exactly one alias row in DESIGN.md"
+        );
+    }
+    let mut documented = documented_codes(&design, 'M');
+    documented.retain(|c| !RETIRED_M.contains(&c.as_str()));
+    assert_in_sync("Mxxx", &documented, &code);
 }
 
 #[test]

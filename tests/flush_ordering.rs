@@ -1,21 +1,19 @@
 //! Flush-ordering determinism regression test.
 //!
-//! The cross-plane oracle used to flake because the wall-clock
-//! `idle_flush` timer raced the owed-watermark settlement in the sender
-//! buffers: depending on when a soft flush fired, a watermark could
-//! overtake buffered tuples on one plane but not the other, shifting
-//! late-drop verdicts between runs. The fix pins watermark/tuple relative
-//! order positionally in the send buffer, so the verdict stream is a pure
-//! function of the input — independent of flush cadence, data plane, and
-//! batch size.
+//! The columnar oracle used to flake because the wall-clock `idle_flush`
+//! timer raced the owed-watermark settlement in the sender buffers:
+//! depending on when a soft flush fired, a watermark could overtake
+//! buffered tuples in one run but not the next, shifting late-drop
+//! verdicts between runs. The fix pins watermark/tuple relative order
+//! positionally in the send buffer, so the verdict stream is a pure
+//! function of the input — independent of flush cadence and batch size.
 //!
 //! This test pins exactly that: one disordered keyed-join input (with
 //! genuine late data beyond the watermark lag) executed across a grid of
-//! `idle_flush` cadences × data planes × batch sizes must produce the
-//! identical sink multiset AND the identical late-drop count. The 1 µs
-//! cadence makes soft flushes fire constantly (maximal raciness), the 1 s
-//! cadence effectively disables them; `batch_size == 1` additionally
-//! exercises the automatic row-plane fallback.
+//! `idle_flush` cadences × batch sizes must produce the identical sink
+//! multiset AND the identical late-drop count. The 1 µs cadence makes soft
+//! flushes fire constantly (maximal raciness), the 1 s cadence effectively
+//! disables them; `batch_size == 1` sends one-row batches.
 
 #![allow(clippy::unwrap_used)] // test code
 
@@ -64,7 +62,7 @@ fn side(etype: u16, seed: u64) -> Vec<Event> {
         .collect()
 }
 
-fn run(columnar: bool, batch_size: usize, idle_flush: StdDuration) -> (RunReport, SinkId) {
+fn run(batch_size: usize, idle_flush: StdDuration) -> (RunReport, SinkId) {
     let mut g = GraphBuilder::new();
     let src = |etype: u16, seed: u64| {
         SourceConfig::new(side(etype, seed))
@@ -87,7 +85,6 @@ fn run(columnar: bool, batch_size: usize, idle_flush: StdDuration) -> (RunReport
     );
     let sink = g.sink(join, Exchange::Rebalance);
     let report = Executor::new(ExecutorConfig {
-        columnar,
         batch_size,
         idle_flush,
         shards: None,
@@ -116,27 +113,23 @@ fn late(report: &RunReport) -> u64 {
 }
 
 #[test]
-fn sink_and_late_drops_are_invariant_to_flush_cadence_plane_and_batching() {
-    let (ref_report, ref_sink) = run(false, 64, StdDuration::from_millis(5));
+fn sink_and_late_drops_are_invariant_to_flush_cadence_and_batching() {
+    let (ref_report, ref_sink) = run(64, StdDuration::from_millis(5));
     let want = canon(&ref_report, ref_sink);
     let want_late = late(&ref_report);
     assert!(!want.is_empty(), "reference run must produce output");
     assert!(want_late > 0, "scenario must contain genuine late data");
 
-    for columnar in [false, true] {
-        for batch_size in [1usize, 7, 64] {
-            for idle_flush in [
-                StdDuration::from_micros(1),
-                StdDuration::from_millis(5),
-                StdDuration::from_secs(1),
-            ] {
-                let (report, sink) = run(columnar, batch_size, idle_flush);
-                let ctx = format!(
-                    "columnar={columnar} batch_size={batch_size} idle_flush={idle_flush:?}"
-                );
-                assert_eq!(canon(&report, sink), want, "sink diverged at {ctx}");
-                assert_eq!(late(&report), want_late, "late drops diverged at {ctx}");
-            }
+    for batch_size in [1usize, 7, 64] {
+        for idle_flush in [
+            StdDuration::from_micros(1),
+            StdDuration::from_millis(5),
+            StdDuration::from_secs(1),
+        ] {
+            let (report, sink) = run(batch_size, idle_flush);
+            let ctx = format!("batch_size={batch_size} idle_flush={idle_flush:?}");
+            assert_eq!(canon(&report, sink), want, "sink diverged at {ctx}");
+            assert_eq!(late(&report), want_late, "late drops diverged at {ctx}");
         }
     }
 }

@@ -8,10 +8,9 @@
 //! subtrees, a fan-out edge that dropped or duplicated a consumer, or
 //! stats/watermark plumbing that leaked between patterns.
 //!
-//! The grid multiplies random pattern batches by both data planes
-//! (columnar and row) and micro-batch sizes {1, 64}, because the `Arc`ed
-//! broadcast fast path only engages on the columnar plane at full batches
-//! — the other cells pin the fallback paths. Each case also checks the
+//! The grid multiplies random pattern batches by micro-batch sizes
+//! {1, 64}; the `Arc`ed broadcast fast path engages on full batches, and
+//! the per-route gather path takes the rest. Each case also checks the
 //! accounting contract: the number of source events the runtime actually
 //! ingested equals the DAG's static prediction
 //! ([`cep2asp::ShareReport::expected_source_events`]), i.e. merged scans
@@ -105,7 +104,6 @@ fn arb_event() -> impl Strategy<Value = Event> {
 struct Case {
     pats: Vec<PatSpec>,
     events: Vec<Event>,
-    columnar: bool,
     batch_size: usize,
 }
 
@@ -113,13 +111,11 @@ fn arb_case() -> impl Strategy<Value = Case> {
     (
         proptest::collection::vec(arb_pat(), 2..9),
         proptest::collection::vec(arb_event(), 30..120),
-        any::<bool>(),
         prop_oneof![Just(1usize), Just(64)],
     )
-        .prop_map(|(pats, events, columnar, batch_size)| Case {
+        .prop_map(|(pats, events, batch_size)| Case {
             pats,
             events,
-            columnar,
             batch_size,
         })
 }
@@ -133,7 +129,6 @@ fn check_case(case: &Case) -> Result<(), TestCaseError> {
         .map(|(i, (p, o))| PatternJob::new(format!("p{i}"), p.clone(), o.clone()))
         .collect();
     let exec = ExecutorConfig {
-        columnar: case.columnar,
         batch_size: case.batch_size,
         ..ExecutorConfig::default()
     };
@@ -177,7 +172,7 @@ proptest! {
     })]
 
     /// THE sharing oracle: every pattern of a random shared batch agrees
-    /// with its solo run, on both data planes at batch sizes {1, 64}.
+    /// with its solo run, at batch sizes {1, 64}.
     #[test]
     fn shared_batches_agree_with_solo_runs(case in arb_case()) {
         check_case(&case)?;

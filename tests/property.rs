@@ -292,3 +292,74 @@ proptest! {
         }
     }
 }
+
+/// Fragments the parser fuzz strings are assembled from: PSL keywords and
+/// punctuation (so inputs get deep into the grammar), every comparison
+/// operator spelling, and multibyte characters placed right where a byte
+/// slice of the input would cut one in half.
+const PSL_PIECES: [&str; 32] = [
+    "PATTERN ",
+    "SEQ",
+    "AND",
+    "OR",
+    "NOT ",
+    "ITER",
+    "(",
+    ")",
+    ", ",
+    "Q a",
+    "V b",
+    " WHERE ",
+    "a.value",
+    "b.id",
+    "<",
+    "<=",
+    ">",
+    ">=",
+    "=",
+    "==",
+    "!",
+    "!=",
+    "<>",
+    "3",
+    "4.5",
+    " WITHIN ",
+    "4 MINUTES",
+    "+",
+    "é",
+    "😀",
+    "ß",
+    "\u{301}",
+];
+
+fn arb_psl_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        proptest::collection::vec(0usize..PSL_PIECES.len(), 0..24)
+            .prop_map(|ix| ix.into_iter().map(|i| PSL_PIECES[i]).collect::<String>()),
+        // Arbitrary code points, surrogates replaced by U+FFFD.
+        proptest::collection::vec(0u32..0x11_0000, 0..24).prop_map(|cs| {
+            cs.into_iter()
+                .map(|c| char::from_u32(c).unwrap_or('\u{fffd}'))
+                .collect::<String>()
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 512,
+        max_shrink_iters: 200,
+    })]
+
+    /// Bad pattern text gets a typed error, never a panic: the SEA parser
+    /// returns (it may accept an input that happens to be valid) on
+    /// arbitrary strings, including non-ASCII ones.
+    #[test]
+    fn sea_parser_never_panics_on_arbitrary_text(text in arb_psl_text()) {
+        let mut reg = asp::event::TypeRegistry::new();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sea::parser::parse(&text, &mut reg).map(|_| ())
+        }));
+        prop_assert!(outcome.is_ok(), "parser panicked on {:?}", text);
+    }
+}

@@ -55,7 +55,6 @@ struct Case {
     batch_size: usize,
     watermark_every: usize,
     lag_min: i64,
-    columnar: bool,
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
@@ -67,17 +66,16 @@ fn arb_case() -> impl Strategy<Value = Case> {
             prop_oneof![Just(1usize), Just(8), Just(64)],
             prop_oneof![Just(1usize), Just(7), Just(32)],
         ),
-        (prop_oneof![Just(0i64), Just(4)], any::<bool>()),
+        prop_oneof![Just(0i64), Just(4)],
     )
         .prop_map(
-            |(events, hot, win, (batch_size, watermark_every), (lag_min, columnar))| Case {
+            |(events, hot, win, (batch_size, watermark_every), lag_min)| Case {
                 events,
                 hot: (hot.0, 1000 + hot.1),
                 win,
                 batch_size,
                 watermark_every,
                 lag_min,
-                columnar,
             },
         )
 }
@@ -142,7 +140,6 @@ fn run_case(case: &Case, shards: usize, theta: JoinPredicate) -> (RunReport, Sin
     }
     let sink = g.sink(join, Exchange::Rebalance);
     let report = Executor::new(ExecutorConfig {
-        columnar: case.columnar,
         batch_size: case.batch_size,
         // Hermetic against the CI env matrix: the oracle controls shard
         // counts through graph parallelism, not the env override.
