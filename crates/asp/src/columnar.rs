@@ -388,16 +388,31 @@ impl ColumnarBatch {
         (kept_n, dropped)
     }
 
-    /// Drop selected rows with `ts < wm` (late under `drop_late`); returns
-    /// the number dropped.
-    pub(crate) fn drop_late(&mut self, wm: Timestamp) -> u64 {
-        let (_, dropped) = self.narrow(|b, i| b.ts[i] >= wm);
-        if dropped == 0 {
-            // Nothing was late: un-narrow so the dense fast paths survive.
-            if self.sel.as_ref().is_some_and(|s| s.len() == self.len()) {
-                self.sel = None;
+    /// Drop rows of a dense batch that arrive behind their channel's
+    /// watermark (late under `drop_late`); returns the number dropped. The
+    /// channel clock starts at `wm` and advances at each in-band mark
+    /// `(offset, wm)`, so every row is judged against the clock in force at
+    /// its offset. The batch stays dense when nothing was late.
+    pub(crate) fn drop_late(&mut self, mut wm: Timestamp, marks: &[(usize, Timestamp)]) -> u64 {
+        debug_assert!(self.is_dense(), "wire batches are dense");
+        let mut marks = marks.iter().peekable();
+        // The selection is built only once the first late row shows up.
+        let mut kept: Option<Vec<u32>> = None;
+        for (i, &ts) in self.ts.iter().enumerate() {
+            while let Some(&(_, w)) = marks.next_if(|&&(p, _)| p <= i) {
+                wm = wm.max(w);
+            }
+            match &mut kept {
+                None if ts < wm => kept = Some((0..i as u32).collect()),
+                Some(k) if ts >= wm => k.push(i as u32),
+                _ => {}
             }
         }
+        let Some(kept) = kept else {
+            return 0;
+        };
+        let dropped = (self.len() - kept.len()) as u64;
+        self.sel = Some(kept);
         dropped
     }
 
@@ -504,60 +519,6 @@ impl ColumnarBatch {
                 .expect("side-table overflow requires > u32::MAX composite rows");
         }
         b
-    }
-
-    /// Split off the first `n` physical rows as their own dense batch,
-    /// leaving the remainder in place. Requires a dense batch (the runtime
-    /// only splits route buffers, which are built dense) — this is how a
-    /// positionally-owed watermark is emitted *between* the rows that
-    /// preceded it and the rows that followed it, independent of when a
-    /// wall-clock flush happens to run.
-    pub(crate) fn take_prefix(&mut self, n: usize) -> ColumnarBatch {
-        debug_assert!(self.is_dense(), "take_prefix on a narrowed batch");
-        let n = n.min(self.len());
-        fn split<T>(v: &mut Vec<T>, n: usize) -> Vec<T> {
-            let tail = v.split_off(n);
-            std::mem::replace(v, tail)
-        }
-        let mut out = ColumnarBatch {
-            key: split(&mut self.key, n),
-            ts: split(&mut self.ts, n),
-            wall: split(&mut self.wall, n),
-            etype: split(&mut self.etype, n),
-            id: split(&mut self.id, n),
-            ets: split(&mut self.ets, n),
-            value: split(&mut self.value, n),
-            lat: split(&mut self.lat, n),
-            lon: split(&mut self.lon, n),
-            ..ColumnarBatch::default()
-        };
-        if let Some(o) = &mut self.opt {
-            out.opt = Some(Box::new(OptCols {
-                ats: split(&mut o.ats, n),
-                agg: split(&mut o.agg, n),
-            }));
-        }
-        if let Some(c) = &mut self.comp {
-            // Side-table entries are appended in row order, so the prefix
-            // references exactly the first `k` entries and the tail's
-            // indices rebase by `k`.
-            let idx_pre = split(&mut c.idx, n);
-            let k = idx_pre.iter().filter(|&&x| x != PRIMITIVE).count();
-            let table_pre = split(&mut c.table, k);
-            for x in c.idx.iter_mut() {
-                if *x != PRIMITIVE {
-                    *x -= k as u32;
-                }
-            }
-            out.comp = Some(Box::new(CompCols {
-                idx: idx_pre,
-                table: table_pre,
-            }));
-            if c.table.is_empty() {
-                self.comp = None;
-            }
-        }
-        out
     }
 
     /// Append the physical rows listed in `sel` (in order) from `src` —
@@ -723,9 +684,9 @@ mod tests {
         for m in [1, 5, 3, 8] {
             b.push_event(ev(0, 1, m, 0.0), 0);
         }
-        assert_eq!(b.drop_late(Timestamp::from_minutes(0)), 0);
+        assert_eq!(b.drop_late(Timestamp::from_minutes(0), &[]), 0);
         assert!(b.is_dense(), "no drops → stays dense");
-        assert_eq!(b.drop_late(Timestamp::from_minutes(4)), 2);
+        assert_eq!(b.drop_late(Timestamp::from_minutes(4), &[]), 2);
         assert_eq!(b.selected_len(), 2);
         assert_eq!(b.max_ts(), Some(Timestamp::from_minutes(8)));
     }
@@ -748,21 +709,27 @@ mod tests {
     }
 
     #[test]
-    fn take_prefix_splits_rows_options_and_side_table() {
-        let a = Tuple::from_event(ev(0, 1, 1, 1.0));
-        let c1 = a.join(&Tuple::from_event(ev(1, 1, 2, 2.0)), TsRule::Max);
-        let mut withats = Tuple::from_event(ev(2, 3, 4, 5.0));
-        withats.ats = Some(Timestamp::from_minutes(6));
-        let c2 = a.join(&Tuple::from_event(ev(1, 1, 3, 3.0)), TsRule::Max);
-        let rows = vec![c1, a, withats, c2];
-        let mut b = ColumnarBatch::from_tuples(rows.clone());
-        let pre = b.take_prefix(2);
-        assert_eq!(pre.to_tuples(), rows[..2]);
-        assert_eq!(b.to_tuples(), rows[2..]);
-        // Taking everything leaves an empty batch behind.
-        let rest = b.take_prefix(10);
-        assert_eq!(rest.to_tuples(), rows[2..]);
-        assert!(b.is_empty());
+    fn drop_late_judges_each_row_against_the_mark_in_force() {
+        let mut b = ColumnarBatch::default();
+        for m in [1, 5, 3, 8, 6] {
+            b.push_event(ev(0, 1, m, 0.0), 0);
+        }
+        // Clock 2 before row 0 (drops ts 1), 4 from row 2 on (drops ts 3,
+        // though row 1 at ts 5 was judged before it), 7 from row 4 on
+        // (drops ts 6); a trailing mark judges nothing.
+        let marks = [
+            (0, Timestamp::from_minutes(2)),
+            (2, Timestamp::from_minutes(4)),
+            (4, Timestamp::from_minutes(7)),
+            (5, Timestamp::from_minutes(9)),
+        ];
+        assert_eq!(b.drop_late(Timestamp::MIN, &marks), 3);
+        let kept: Vec<i64> = b
+            .to_tuples()
+            .iter()
+            .map(|t| t.ts.millis() / 60_000)
+            .collect();
+        assert_eq!(kept, vec![5, 8]);
     }
 
     #[test]

@@ -46,18 +46,28 @@ impl TypeRegistry {
     }
 
     /// Register (or look up) a type by name, returning its id.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is new and the registry already holds `u16::MAX` types;
+    /// [`try_intern`](Self::try_intern) reports that as `None` instead.
     pub fn intern(&mut self, name: &str) -> EventType {
+        self.try_intern(name).expect("type universe exhausted")
+    }
+
+    /// Register (or look up) a type by name, returning its id, or `None`
+    /// if `name` is new and the `u16` id space is exhausted.
+    pub fn try_intern(&mut self, name: &str) -> Option<EventType> {
         if let Some(t) = self.index.get(name) {
-            return *t;
+            return Some(*t);
         }
-        assert!(
-            self.names.len() < u16::MAX as usize,
-            "type universe exhausted"
-        );
+        if self.names.len() >= u16::MAX as usize {
+            return None;
+        }
         let t = EventType(self.names.len() as u16);
         self.names.push(name.to_string());
         self.index.insert(name.to_string(), t);
-        t
+        Some(t)
     }
 
     /// Resolve a registered name without interning.

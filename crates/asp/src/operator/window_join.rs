@@ -106,7 +106,11 @@ impl WindowJoinOp {
                 (None, Some(b)) => b,
                 (None, None) => break,
             };
-            let min_start = self.windows.first_window_start(earliest);
+            // Never jump past a window that is still open at `upto`: a
+            // tuple arriving later is at or above its channel's watermark,
+            // hence at or above `upto`, and may still fall below
+            // `earliest`.
+            let min_start = self.windows.first_window_start(earliest.min(upto));
             if self.next_fire < min_start {
                 self.next_fire = min_start;
             }
@@ -317,6 +321,30 @@ mod tests {
         }
         op.on_finish(&mut col).unwrap();
         col.out
+    }
+
+    /// Buffered data far ahead of the watermark must not move the firing
+    /// cursor past windows that are still open: tuples arriving later at or
+    /// above the watermark can still land in them.
+    #[test]
+    fn buffered_data_ahead_of_the_watermark_does_not_skip_open_windows() {
+        let mut op = WindowJoinOp::new(
+            "⋈",
+            SlidingWindows::new(Duration::from_minutes(2), Duration::from_minutes(1)),
+            cross_join(),
+            TsRule::Max,
+        );
+        let mut col = VecCollector::default();
+        op.process(0, tup(0, 7, 20, 1.0), &mut col).unwrap();
+        op.on_watermark(Timestamp::from_minutes(15), &mut col)
+            .unwrap();
+        // Both at or above the watermark: not late.
+        op.process(1, tup(1, 7, 16, 2.0), &mut col).unwrap();
+        op.process(0, tup(0, 7, 17, 3.0), &mut col).unwrap();
+        op.on_finish(&mut col).unwrap();
+        // The pair shares exactly one 2-minute window, [16, 18).
+        assert_eq!(col.out.len(), 1, "{:?}", col.out);
+        assert_eq!(col.out[0].ts, Timestamp::from_minutes(17));
     }
 
     #[test]

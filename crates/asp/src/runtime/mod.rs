@@ -20,28 +20,35 @@
 //! down the pipeline.
 //!
 //! Watermarks are released by a *soft flush*: destinations whose batch
-//! buffer is empty receive the watermark immediately, while a destination
-//! with a partially filled buffer has the watermark recorded as *owed at
-//! the current buffered position*; the buffer is later flushed in segments
-//! split at every owed position, so each deferred watermark is delivered
-//! exactly between the rows emitted before and after it. Deferring a
-//! watermark is always safe (it is a lower-bound promise), and the deferral
-//! keeps punctuation from truncating per-destination micro-batches — under
-//! hash fan-out, batches stay near `batch_size` instead of being sliced at
-//! every punctuation. Because owed watermarks are positional, a channel's
+//! buffer is empty receive the watermark immediately as a standalone
+//! message, while a destination with a partially filled buffer has the
+//! watermark recorded as *owed at the current buffered position*. When the
+//! buffer flushes, its owed watermarks travel *in band*, as `(row offset,
+//! watermark)` marks on the one batch message, and the receiver applies
+//! each mark right before the row at its offset. A flush is therefore one
+//! message however many punctuations it spans, and punctuation never
+//! truncates a per-destination micro-batch — under hash fan-out, batches
+//! stay near `batch_size`. Deferring a watermark is always safe (it is a
+//! lower-bound promise). Because marks are positional, a channel's
 //! tuple/watermark interleaving is a pure function of emission order:
 //! wall-clock flush timing changes message granularity, never relative
 //! order, so per-channel late-drop decisions are run-to-run deterministic.
 //! A *hard flush* (idle timeout, end of stream, or the `idle_flush`
-//! deadline under sustained load) sends every partial buffer and settles
-//! all owed watermarks, bounding how long either can sit.
+//! deadline under sustained load) sends every partial buffer with its
+//! marks, then the coalesced pending watermark, bounding how long either
+//! can sit.
+//!
+//! Closed-loop (unpaced) sources read the clock once per staged batch, not
+//! per event: an event's wall stamp — the origin of sink latency — is the
+//! time its batch started staging, at most `batch_size` events early.
+//! Paced sources stamp every event at its emission time.
 //!
 //! ## Data plane
 //!
-//! Every tuple batch travels as one `Arc<ColumnarBatch>` message of
-//! struct-of-arrays [`ColumnarBatch`] columns. A point-to-point send wraps
-//! its batch in a fresh `Arc`; a fan-out to several pre-resolved
-//! destinations sends clones of one `Arc`. Sources push events straight
+//! Every tuple batch travels as one message: an `Arc` of struct-of-arrays
+//! [`ColumnarBatch`] columns plus the batch's in-band watermark marks. A
+//! point-to-point send wraps its batch in a fresh `Arc`; a fan-out to
+//! several pre-resolved destinations sends clones of one `Arc`. Sources push events straight
 //! into typed columns (no per-event heap allocation). Operators declaring
 //! [`BatchSupport::Columnar`] take the batch with `Arc::try_unwrap` (a
 //! copy only while a sibling consumer still holds it) and are driven
@@ -60,7 +67,6 @@ pub use crate::obs::{BoundViolation, EventLog, Level, LogEvent, StaticBounds};
 pub use chain::{chain_factories, ChainedOperator};
 pub use metrics::{LatencyStats, NodeStats, ResourceSample};
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
@@ -207,7 +213,18 @@ enum Message {
     /// take ownership on receipt (`Arc::try_unwrap`, cloning only while the
     /// batch is still referenced elsewhere); row-only operators and sinks
     /// read it in place.
-    Batch(Arc<ColumnarBatch>),
+    Batch {
+        rows: Arc<ColumnarBatch>,
+        /// In-band watermarks owed on this channel, in emission order:
+        /// `(p, wm)` takes effect after `rows[..p]` and before `rows[p..]`
+        /// (`p == rows.len()` trails the last row). Offsets strictly
+        /// increase; watermarks never decrease. Receivers apply each mark
+        /// exactly like a standalone [`Message::Watermark`].
+        marks: Vec<(usize, Timestamp)>,
+    },
+    /// A watermark with no row to ride on: sent when the destination's
+    /// batch buffer is empty at soft-flush time, and by the hard flush
+    /// after every buffer (with its marks) has gone out.
     Watermark(Timestamp),
     /// Shard-migration cut-over marker: everything before it on this
     /// channel was routed under the previous slot table, everything after
@@ -262,14 +279,13 @@ struct Route {
     bufs: Vec<ColumnarBatch>,
     /// Watermarks promised to a destination but deferred because its batch
     /// buffer was non-empty at soft-flush time, queued with the number of
-    /// buffered rows each must ride *behind*. Flushing emits the buffer in
-    /// segments split at every owed position — `rows[..p0], wm0,
-    /// rows[p0..p1], wm1, …`, remainder last (see [`Route::flush_buf`]) —
-    /// so the channel-relative order of tuples and watermarks is a pure
-    /// function of emission order, never of wall-clock flush timing.
-    /// Positions are strictly increasing within the queue; watermarks
-    /// landing at the same position coalesce to their maximum.
-    wm_owed: Vec<VecDeque<(usize, Timestamp)>>,
+    /// buffered rows each must ride *behind*. [`Route::flush_buf`] sends
+    /// them as the batch's in-band marks, so the channel-relative order of
+    /// tuples and watermarks is a pure function of emission order, never
+    /// of wall-clock flush timing. Positions are strictly increasing
+    /// within the queue; watermarks landing at the same position coalesce
+    /// to their maximum. Non-empty only while the buffer is.
+    wm_owed: Vec<Vec<(usize, Timestamp)>>,
     /// First operator-grade failure hit while building a pending columnar
     /// batch (composite side-table overflow from a checked `u32` index
     /// conversion). The harness harvests it via
@@ -331,7 +347,7 @@ impl Route {
             _ => None,
         };
         let bufs = senders.iter().map(|_| ColumnarBatch::default()).collect();
-        let wm_owed = senders.iter().map(|_| VecDeque::new()).collect();
+        let wm_owed = senders.iter().map(|_| Vec::new()).collect();
         Route {
             exchange,
             port,
@@ -616,8 +632,9 @@ impl Route {
 
     /// Soft-deliver a watermark: destinations with an empty batch buffer
     /// get it immediately; the rest record it as owed *at the current
-    /// buffered position* so it rides out exactly between the rows emitted
-    /// before and after it, instead of truncating the batch. Either way
+    /// buffered position* so it rides out as an in-band mark between the
+    /// rows emitted before and after it, instead of truncating the batch.
+    /// Either way
     /// the watermark lands at the same point of the channel's
     /// tuple/watermark sequence — wall-clock flush timing can change
     /// message granularity, never relative order.
@@ -668,19 +685,18 @@ impl Route {
             } else {
                 // Watermarks owed at the same position coalesce to their
                 // max (they are monotone per task, so this keeps the last).
-                match self.wm_owed[idx].back_mut() {
+                match self.wm_owed[idx].last_mut() {
                     Some((p, w)) if *p == pos => *w = (*w).max(wm),
-                    _ => self.wm_owed[idx].push_back((pos, wm)),
+                    _ => self.wm_owed[idx].push((pos, wm)),
                 }
             }
         }
         ok
     }
 
-    /// Send the destination's pending rows in segments split at every owed
-    /// watermark position — `rows[..p0], wm0, rows[p0..p1], wm1, …`,
-    /// remainder last — so a flush reproduces the emission-order
-    /// interleaving of tuples and watermarks exactly.
+    /// Send the destination's pending rows as one message carrying its
+    /// owed watermarks as in-band marks, so a flush reproduces the
+    /// emission-order interleaving of tuples and watermarks exactly.
     fn flush_buf(
         &mut self,
         idx: usize,
@@ -688,38 +704,31 @@ impl Route {
         abort: &AtomicBool,
         blocked_ns: &AtomicU64,
     ) -> Result<(), ()> {
-        while let Some((pos, wm)) = self.wm_owed[idx].pop_front() {
-            self.send_rows(idx, pos, batch_size, abort, blocked_ns)?;
-            for later in self.wm_owed[idx].iter_mut() {
-                later.0 -= pos;
-            }
-            self.send(idx, Message::Watermark(wm), abort, blocked_ns)?;
-        }
-        self.send_rows(idx, usize::MAX, batch_size, abort, blocked_ns)
-    }
-
-    /// Send up to `take` of the destination's pending rows as one
-    /// message, keeping the rest buffered.
-    fn send_rows(
-        &mut self,
-        idx: usize,
-        take: usize,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
         let buf = &mut self.bufs[idx];
-        if buf.is_empty() || take == 0 {
+        if buf.is_empty() {
+            debug_assert!(self.wm_owed[idx].is_empty(), "marks ride on buffered rows");
             return Ok(());
         }
         debug_assert!(buf.is_dense(), "route buffers are built dense");
-        let head = if take >= buf.len() {
-            std::mem::replace(buf, ColumnarBatch::with_capacity(batch_size))
-        } else {
-            buf.take_prefix(take)
-        };
+        let rows = Arc::new(std::mem::replace(
+            buf,
+            ColumnarBatch::with_capacity(batch_size),
+        ));
+        let marks = std::mem::take(&mut self.wm_owed[idx]);
+        self.send_batch(idx, rows, marks, abort, blocked_ns)
+    }
+
+    /// Send one tuple-carrying message, counted in [`Route::batches`].
+    fn send_batch(
+        &mut self,
+        idx: usize,
+        rows: Arc<ColumnarBatch>,
+        marks: Vec<(usize, Timestamp)>,
+        abort: &AtomicBool,
+        blocked_ns: &AtomicU64,
+    ) -> Result<(), ()> {
         self.batches += 1;
-        self.send(idx, Message::Batch(Arc::new(head)), abort, blocked_ns)
+        self.send(idx, Message::Batch { rows, marks }, abort, blocked_ns)
     }
 
     fn flush_all(
@@ -799,10 +808,10 @@ impl ChannelCollector {
     /// Soft flush: release the coalesced pending watermark without
     /// truncating partially filled batch buffers. Destinations with an
     /// empty buffer get the watermark immediately; for the rest it is
-    /// recorded as *owed* and sent right behind that destination's next
-    /// batch, so micro-batches keep forming across punctuation (the
-    /// hash-fan-out batch-efficiency fix). Owed watermarks are bounded by
-    /// the callers' periodic [`flush_hard`](Self::flush_hard).
+    /// recorded as *owed* and rides that destination's next batch as an
+    /// in-band mark, so micro-batches keep forming across punctuation.
+    /// Owed watermarks are bounded by the callers' periodic
+    /// [`flush_hard`](Self::flush_hard).
     fn flush(&mut self) {
         let Self {
             routes,
@@ -826,8 +835,8 @@ impl ChannelCollector {
         }
     }
 
-    /// Hard flush: send every pending batch (settling owed watermarks
-    /// behind each), then broadcast the coalesced pending watermark.
+    /// Hard flush: send every pending batch (its owed watermarks riding as
+    /// marks), then broadcast the coalesced pending watermark.
     fn flush_hard(&mut self) {
         let Self {
             routes,
@@ -964,8 +973,7 @@ impl ChannelCollector {
                     *failed = true;
                     continue;
                 }
-                r.batches += 1;
-                if r.send(idx, Message::Batch(shared.clone()), abort, blocked_ns)
+                if r.send_batch(idx, shared.clone(), Vec::new(), abort, blocked_ns)
                     .is_err()
                 {
                     *failed = true;
@@ -982,19 +990,17 @@ impl ChannelCollector {
         }
         let last = &mut routes[n - 1];
         if let Some(idx) = last.fixed {
-            // The zero-copy path requires an empty owed-watermark queue:
-            // owed watermarks are positional, and rows sent around them
-            // must go through the segment-splitting `flush_buf`.
-            if last.bufs[idx].is_empty() && last.wm_owed[idx].is_empty() {
+            // The zero-copy path requires an empty pending buffer (and so
+            // no owed marks, which only ride on buffered rows).
+            if last.bufs[idx].is_empty() {
                 if let Err(e) = batch.compact() {
                     last.op_error.get_or_insert(e);
                     *failed = true;
                     return;
                 }
                 if batch.len() >= *batch_size {
-                    last.batches += 1;
                     if last
-                        .send(idx, Message::Batch(Arc::new(batch)), abort, blocked_ns)
+                        .send_batch(idx, Arc::new(batch), Vec::new(), abort, blocked_ns)
                         .is_err()
                     {
                         *failed = true;
@@ -1841,6 +1847,12 @@ fn run_source(
     } else {
         ColumnarBatch::default()
     };
+    // Wall stamp (the origin of sink latency). A paced source stamps every
+    // event at its emission time; a closed-loop source reads the clock once
+    // per staged batch (once per `batch_size` events without a columnar
+    // chain), so an event's stamp is when its batch started staging, at
+    // most `batch_size` events early.
+    let mut wall = 0u64;
     'ingest: for (i, ev) in cfg.events.iter().enumerate() {
         if parallelism > 1 && i % parallelism != instance {
             continue;
@@ -1855,7 +1867,15 @@ fn run_source(
                 std::thread::sleep(target - now);
             }
         }
-        let wall = epoch.elapsed().as_nanos() as u64;
+        let restamp = pace.is_some()
+            || if columnar_chain {
+                staging.is_empty()
+            } else {
+                emitted % bs as u64 == 0
+            };
+        if restamp {
+            wall = epoch.elapsed().as_nanos() as u64;
+        }
         last_ts = last_ts.max(ev.ts);
         match &mut chained {
             Some(op) if columnar_chain => {
@@ -2016,7 +2036,9 @@ impl WatermarkTable {
         WatermarkTable { wm, ended, live }
     }
 
-    fn update(&mut self, port: usize, chan: usize, ts: Timestamp) {
+    /// Record watermark `ts` on one input channel and return the merged
+    /// minimum across channels.
+    fn advance(&mut self, port: usize, chan: usize, ts: Timestamp) -> Timestamp {
         // Punctuated watermarks are strictly increasing per sender, and
         // each (port, chan) cell has exactly one sender instance — so a
         // regression or a post-End watermark means a runtime bug upstream.
@@ -2036,6 +2058,7 @@ impl WatermarkTable {
         if ts > *cell {
             *cell = ts;
         }
+        self.min()
     }
 
     fn end(&mut self, port: usize, chan: usize) {
@@ -2064,6 +2087,94 @@ impl WatermarkTable {
             .min()
             .unwrap_or(Timestamp::MAX)
     }
+}
+
+/// One operator instance's event-time clock: the per-channel watermark
+/// table, the merged watermark the operator last fired at, the watermark it
+/// last forwarded downstream, and the newest event timestamp seen (whose
+/// distance to the merged watermark is the watermark-lag gauge).
+struct OpClock {
+    table: WatermarkTable,
+    current: Timestamp,
+    forwarded: Timestamp,
+    max_ts: Timestamp,
+}
+
+impl OpClock {
+    fn new(layout: &[(usize, usize, bool)]) -> Self {
+        OpClock {
+            table: WatermarkTable::new(layout),
+            current: Timestamp::MIN,
+            forwarded: Timestamp::MIN,
+            max_ts: Timestamp::MIN,
+        }
+    }
+
+    /// Fire the operator at merged watermark `m` if it advances the clock,
+    /// and queue the operator's output watermark for broadcast.
+    fn fire(
+        &mut self,
+        m: Timestamp,
+        op: &mut dyn Operator,
+        collector: &mut ChannelCollector,
+        istats: &InstanceStats,
+    ) -> Result<(), OpError> {
+        if m <= self.current {
+            return Ok(());
+        }
+        self.current = m;
+        istats.note_watermark_lag(self.max_ts, m);
+        let f = op.on_watermark(m, collector)?.min(m);
+        if f > self.forwarded {
+            self.forwarded = f;
+            collector.broadcast_watermark(f);
+        }
+        istats.set_state(op.state_bytes());
+        Ok(())
+    }
+
+    /// Apply a watermark arriving on `(port, chan)` — a standalone
+    /// [`Message::Watermark`] or an in-band batch mark — and fire at the
+    /// new merged minimum.
+    fn advance(
+        &mut self,
+        (port, chan): (usize, usize),
+        ts: Timestamp,
+        op: &mut dyn Operator,
+        collector: &mut ChannelCollector,
+        istats: &InstanceStats,
+    ) -> Result<(), OpError> {
+        let m = self.table.advance(port, chan, ts);
+        self.fire(m, op, collector, istats)
+    }
+}
+
+/// After input channels end (an ended channel no longer holds the clock
+/// back), fire at the new merged minimum; once every channel has ended,
+/// finish the operator instead.
+fn settle_ends(
+    clock: &mut OpClock,
+    op: &mut dyn Operator,
+    collector: &mut ChannelCollector,
+    istats: &InstanceStats,
+    abort: &AtomicBool,
+    first_error: &Mutex<Option<PipelineError>>,
+    log: &EventLog,
+) -> Step {
+    if clock.table.all_ended() {
+        if let Err(e) = op.on_finish(collector) {
+            record_op_error(op.name(), e, abort, first_error, log);
+        }
+        return Step::Finished;
+    }
+    let m = clock.table.min();
+    if m < Timestamp::MAX {
+        if let Err(e) = clock.fire(m, op, collector, istats) {
+            record_op_error(op.name(), e, abort, first_error, log);
+            return Step::Error;
+        }
+    }
+    Step::Continue
 }
 
 /// Receiver-side shard-migration state of one sharded-node instance.
@@ -2190,12 +2301,9 @@ fn send_handoff(tx: &Sender<Envelope>, mut env: Envelope, abort: &AtomicBool) ->
 fn shard_progress(
     ctx: &mut ShardCtx,
     op: &mut dyn Operator,
-    table: &mut WatermarkTable,
+    clock: &mut OpClock,
     collector: &mut ChannelCollector,
-    current_wm: &mut Timestamp,
-    forwarded: &mut Timestamp,
     istats: &InstanceStats,
-    max_ts: Timestamp,
     abort: &AtomicBool,
     first_error: &Mutex<Option<PipelineError>>,
     log: &EventLog,
@@ -2267,33 +2375,9 @@ fn shard_progress(
     // Resolution (all roles): promote the Ends deferred during tracking,
     // then fire at whatever the merged clock becomes.
     for (port, chan) in ctx.deferred_ends.drain(..) {
-        table.end(port, chan);
+        clock.table.end(port, chan);
     }
-    let m = table.min();
-    if !table.all_ended() && m > *current_wm && m < Timestamp::MAX {
-        *current_wm = m;
-        istats.note_watermark_lag(max_ts, m);
-        match op.on_watermark(m, collector) {
-            Ok(f) => {
-                let f = f.min(m);
-                if f > *forwarded {
-                    *forwarded = f;
-                    collector.broadcast_watermark(f);
-                }
-            }
-            Err(e) => {
-                record_op_error(op.name(), e, abort, first_error, log);
-                return Step::Error;
-            }
-        }
-    }
-    if table.all_ended() {
-        if let Err(e) = op.on_finish(collector) {
-            record_op_error(op.name(), e, abort, first_error, log);
-        }
-        return Step::Finished;
-    }
-    Step::Continue
+    settle_ends(clock, op, collector, istats, abort, first_error, log)
 }
 
 fn record_op_error(
@@ -2347,18 +2431,18 @@ fn run_operator(
     log: Arc<EventLog>,
 ) {
     let mut shard = shard;
-    let mut table = WatermarkTable::new(&layout);
-    let mut current_wm = Timestamp::MIN;
-    let mut forwarded = Timestamp::MIN;
+    let mut clock = OpClock::new(&layout);
     let mut records_in: u64 = 0;
     let mut late: u64 = 0;
-    // Newest event timestamp this instance has seen; the distance to the
-    // merged watermark is the watermark-lag gauge.
-    let mut max_ts = Timestamp::MIN;
+    let fail = |name: &str, e: OpError| {
+        record_op_error(name, e, &abort, &first_error, &log);
+        Step::Error
+    };
     // Handle one envelope; tuple batches are processed back-to-back
     // without touching the channel again.
     let mut handle = |env: Envelope, collector: &mut ChannelCollector| -> Step {
         let port = env.port as usize;
+        let chan = env.chan as usize;
         // Late tuples are judged against the *arriving channel's* watermark,
         // not the merged minimum: the merged clock's momentary value depends
         // on cross-channel thread interleaving at unions/joins, while the
@@ -2367,33 +2451,32 @@ fn run_operator(
         // watermark is ≥ the merged watermark, so everything the merged
         // clock would have dropped still drops, and survivors still satisfy
         // the emission-floor contract (they are ≥ channel wm ≥ merged wm).
-        let wm_now = table.channel_wm(port, env.chan as usize);
-        match env.msg {
-            Message::Batch(b) => {
+        // A batch's in-band marks advance the channel clock at their row
+        // offsets, so each row is judged against the clock in force at it.
+        // Shard protocol traffic falls through to `shard_progress`.
+        let ctx = match env.msg {
+            Message::Batch { rows: b, marks } => {
                 debug_assert!(b.is_dense(), "wire batches are dense");
                 if op.batch_support() == BatchSupport::Columnar {
                     // Vectorized path: take ownership (free when this
                     // consumer holds the last reference, one clone while a
                     // sibling consumer still reads it), then account,
                     // late-drop, and process the whole batch without
-                    // materializing a row.
+                    // materializing a row; the marks apply afterwards.
                     let mut b = Arc::try_unwrap(b).unwrap_or_else(|b| (*b).clone());
                     records_in += b.len() as u64;
                     if let Some(m) = b.max_ts() {
-                        if m > max_ts {
-                            max_ts = m;
-                        }
+                        clock.max_ts = clock.max_ts.max(m);
                     }
                     if drop_late {
-                        late += b.drop_late(wm_now);
+                        late += b.drop_late(clock.table.channel_wm(port, chan), &marks);
                     }
                     if b.selected_len() > 0 {
                         // One strided observation per batch call; the two
                         // clock reads amortize over the batch.
                         let t0 = (proc_every != 0).then(Instant::now);
                         if let Err(e) = op.process_columnar(port, &mut b) {
-                            record_op_error(op.name(), e, &abort, &first_error, &log);
-                            return Step::Error;
+                            return fail(op.name(), e);
                         }
                         if let Some(t0) = t0 {
                             istats.proc_hist.record(t0.elapsed().as_nanos() as u64);
@@ -2401,16 +2484,35 @@ fn run_operator(
                         collector.forward_batch(b);
                     }
                     istats.set_state(op.state_bytes());
+                    for (_, ts) in marks {
+                        if let Err(e) =
+                            clock.advance((port, chan), ts, &mut *op, collector, &istats)
+                        {
+                            return fail(op.name(), e);
+                        }
+                    }
                 } else {
                     // Row shim: materialize each row at the input boundary
                     // of a row-only (stateful) operator, reading the batch
-                    // in place.
-                    for i in 0..b.len() {
+                    // in place. Each mark applies right before the row at
+                    // its offset (trailing marks after the last row).
+                    let mut marks = marks.into_iter().peekable();
+                    let mut wm_now = clock.table.channel_wm(port, chan);
+                    for i in 0..=b.len() {
+                        while let Some((_, ts)) = marks.next_if(|&(p, _)| p <= i) {
+                            if let Err(e) =
+                                clock.advance((port, chan), ts, &mut *op, collector, &istats)
+                            {
+                                return fail(op.name(), e);
+                            }
+                            wm_now = clock.table.channel_wm(port, chan);
+                        }
+                        if i == b.len() {
+                            break;
+                        }
                         let t = b.tuple_at(i);
                         records_in += 1;
-                        if t.ts > max_ts {
-                            max_ts = t.ts;
-                        }
+                        clock.max_ts = clock.max_ts.max(t.ts);
                         if drop_late && t.ts < wm_now {
                             late += 1;
                             continue;
@@ -2432,8 +2534,7 @@ fn run_operator(
                         let t0 =
                             (proc_every != 0 && records_in % proc_every == 0).then(Instant::now);
                         if let Err(e) = op.process(port, t, collector) {
-                            record_op_error(op.name(), e, &abort, &first_error, &log);
-                            return Step::Error;
+                            return fail(op.name(), e);
                         }
                         if let Some(t0) = t0 {
                             istats.proc_hist.record(t0.elapsed().as_nanos() as u64);
@@ -2443,122 +2544,66 @@ fn run_operator(
                         }
                     }
                 }
+                return Step::Continue;
             }
             Message::Watermark(ts) => {
-                table.update(env.port as usize, env.chan as usize, ts);
-                let m = table.min();
-                if m > current_wm {
-                    current_wm = m;
-                    istats.note_watermark_lag(max_ts, m);
-                    match op.on_watermark(m, collector) {
-                        Ok(f) => {
-                            let f = f.min(m);
-                            if f > forwarded {
-                                forwarded = f;
-                                collector.broadcast_watermark(f);
-                            }
-                        }
-                        Err(e) => {
-                            record_op_error(op.name(), e, &abort, &first_error, &log);
-                            return Step::Error;
-                        }
-                    }
-                    istats.set_state(op.state_bytes());
+                if let Err(e) = clock.advance((port, chan), ts, &mut *op, collector, &istats) {
+                    return fail(op.name(), e);
                 }
+                return Step::Continue;
             }
             Message::ShardMarker { version } => {
-                if let Some(ctx) = shard.as_mut() {
-                    ctx.begin_tracking(version, &table);
-                    ctx.note_channel(Some(version), port, env.chan as usize);
-                    return shard_progress(
-                        ctx,
-                        &mut *op,
-                        &mut table,
-                        collector,
-                        &mut current_wm,
-                        &mut forwarded,
-                        &istats,
-                        max_ts,
-                        &abort,
-                        &first_error,
-                        &log,
-                    );
-                }
-                debug_assert!(false, "shard marker delivered to an unsharded node");
+                let Some(ctx) = shard.as_mut() else {
+                    debug_assert!(false, "shard marker delivered to an unsharded node");
+                    return Step::Continue;
+                };
+                ctx.begin_tracking(version, &clock.table);
+                ctx.note_channel(Some(version), port, chan);
+                ctx
             }
             Message::ShardHandoff(payload) => {
-                if let Some(ctx) = shard.as_mut() {
-                    ctx.begin_tracking(payload.version, &table);
-                    ctx.parked = Some(payload);
-                    return shard_progress(
-                        ctx,
+                let Some(ctx) = shard.as_mut() else {
+                    debug_assert!(false, "shard handoff delivered to an unsharded node");
+                    return Step::Continue;
+                };
+                ctx.begin_tracking(payload.version, &clock.table);
+                ctx.parked = Some(payload);
+                ctx
+            }
+            Message::End => match shard.as_mut() {
+                // Defer the clock promotion while a migration is tracked
+                // (it still satisfies an outstanding marker); the table is
+                // promoted at resolution so the extract/absorb clocks stay
+                // aligned.
+                Some(ctx) if ctx.pending.is_some() => {
+                    ctx.deferred_ends.push((port, chan));
+                    ctx.note_channel(None, port, chan);
+                    ctx
+                }
+                _ => {
+                    clock.table.end(port, chan);
+                    return settle_ends(
+                        &mut clock,
                         &mut *op,
-                        &mut table,
                         collector,
-                        &mut current_wm,
-                        &mut forwarded,
                         &istats,
-                        max_ts,
                         &abort,
                         &first_error,
                         &log,
                     );
                 }
-                debug_assert!(false, "shard handoff delivered to an unsharded node");
-            }
-            Message::End => {
-                if let Some(ctx) = shard.as_mut() {
-                    if ctx.pending.is_some() {
-                        // Defer the clock promotion while a migration is
-                        // tracked (it still satisfies an outstanding
-                        // marker); the table is promoted at resolution so
-                        // the extract/absorb clocks stay aligned.
-                        ctx.deferred_ends.push((port, env.chan as usize));
-                        ctx.note_channel(None, port, env.chan as usize);
-                        return shard_progress(
-                            ctx,
-                            &mut *op,
-                            &mut table,
-                            collector,
-                            &mut current_wm,
-                            &mut forwarded,
-                            &istats,
-                            max_ts,
-                            &abort,
-                            &first_error,
-                            &log,
-                        );
-                    }
-                }
-                table.end(env.port as usize, env.chan as usize);
-                // An ended channel no longer holds the clock back.
-                let m = table.min();
-                if !table.all_ended() && m > current_wm && m < Timestamp::MAX {
-                    current_wm = m;
-                    istats.note_watermark_lag(max_ts, m);
-                    match op.on_watermark(m, collector) {
-                        Ok(f) => {
-                            let f = f.min(m);
-                            if f > forwarded {
-                                forwarded = f;
-                                collector.broadcast_watermark(f);
-                            }
-                        }
-                        Err(e) => {
-                            record_op_error(op.name(), e, &abort, &first_error, &log);
-                            return Step::Error;
-                        }
-                    }
-                }
-                if table.all_ended() {
-                    if let Err(e) = op.on_finish(collector) {
-                        record_op_error(op.name(), e, &abort, &first_error, &log);
-                    }
-                    return Step::Finished;
-                }
-            }
-        }
-        Step::Continue
+            },
+        };
+        shard_progress(
+            ctx,
+            &mut *op,
+            &mut clock,
+            collector,
+            &istats,
+            &abort,
+            &first_error,
+            &log,
+        )
     };
     let mut last_hard = Instant::now();
     loop {
@@ -2661,11 +2706,12 @@ fn run_sink(
         if rounds % 64 == 0 {
             istats.note_queue_depth(rx.len());
         }
+        let (port, chan) = (env.port as usize, env.chan as usize);
         match env.msg {
             // One atomic add per batch; rows are materialized only in
             // Collect mode. The batch is read by reference, so shared
             // fan-out batches are consumed without a clone.
-            Message::Batch(b) => {
+            Message::Batch { rows: b, marks } => {
                 shared.count.fetch_add(b.len() as u64, Ordering::Relaxed);
                 // Sink-side event-time monotonicity: a tuple behind the
                 // merged watermark means some upstream task emitted late
@@ -2678,8 +2724,14 @@ fn run_sink(
                 // task applies `drop_late`; a sink wired directly after one
                 // has no such shield by design.
                 #[cfg(feature = "invariant-checks")]
-                let enforce_floor = !layout[env.port as usize].2;
+                let enforce_floor = !layout[port].2;
+                // Marks apply positionally, so each row is checked against
+                // the merged clock in force at its offset.
+                let mut marks = marks.into_iter().peekable();
                 for i in 0..b.len() {
+                    while let Some((_, ts)) = marks.next_if(|&(p, _)| p <= i) {
+                        sink_wm = sink_wm.max(table.advance(port, chan, ts));
+                    }
                     n += 1;
                     #[cfg(feature = "invariant-checks")]
                     assert!(
@@ -2698,19 +2750,18 @@ fn run_sink(
                         shared.tuples.lock().push(b.tuple_at(i));
                     }
                 }
+                for (_, ts) in marks {
+                    sink_wm = sink_wm.max(table.advance(port, chan, ts));
+                }
             }
             Message::Watermark(ts) => {
-                table.update(env.port as usize, env.chan as usize, ts);
-                let m = table.min();
-                if m > sink_wm {
-                    sink_wm = m;
-                }
+                sink_wm = sink_wm.max(table.advance(port, chan, ts));
             }
             // Shard protocol traffic never reaches sinks (sinks are not
             // sharded); tolerate it rather than crash a teardown race.
             Message::ShardMarker { .. } | Message::ShardHandoff(_) => {}
             Message::End => {
-                table.end(env.port as usize, env.chan as usize);
+                table.end(port, chan);
                 if table.all_ended() {
                     break;
                 }

@@ -6,8 +6,10 @@
 use std::sync::Arc;
 
 use asp::event::{Event, EventType};
-use asp::graph::{Exchange, GraphBuilder};
-use asp::operator::{cross_join, FilterOp, MapOp, UnionOp, WindowJoinOp};
+use asp::graph::{Exchange, GraphBuilder, OperatorFactory, SourceConfig};
+use asp::operator::{
+    cross_join, FilterOp, IntervalBounds, IntervalJoinOp, MapOp, UnionOp, WindowJoinOp,
+};
 use asp::runtime::{key_partition, Executor, ExecutorConfig};
 use asp::time::{Duration, Timestamp};
 use asp::tuple::{MatchKey, TsRule, Tuple};
@@ -482,6 +484,133 @@ fn operator_failure_is_a_prompt_typed_error() {
                         ..
                     }))) => assert_eq!(operator, "fail_at", "{ctx}"),
                     Ok(other) => panic!("{ctx}: expected an operator error, got {other:?}"),
+                    Err(_) => panic!("{ctx}: run did not return within 10 s"),
+                }
+            }
+        }
+    }
+}
+
+/// Punctuation rides batches as in-band marks, so a route flush is one
+/// message however many watermarks it spans: with the idle-flush deadline
+/// out of reach, the source sends exactly ⌈rows/64⌉ messages per
+/// destination (a watermark every 4 events would otherwise cut every
+/// batch into 4-row segments), and the sink sees what a batch-1 run sees.
+#[test]
+fn a_route_flush_is_one_message_per_destination() {
+    let ids: Vec<u32> = (0..16).collect();
+    let evs = events(0, &ids, 0..100);
+    let run = |batch_size: usize| {
+        let mut g = GraphBuilder::new();
+        let src = g.source_with(
+            "s",
+            SourceConfig::new(evs.clone()).with_watermark_every(4),
+            1,
+        );
+        let m = g.unary(
+            src,
+            Exchange::Hash,
+            2,
+            Box::new(|_| Box::new(MapOp::identity("id"))),
+        );
+        let sink = g.counting_sink(m, Exchange::Rebalance);
+        let report = Executor::new(ExecutorConfig {
+            batch_size,
+            idle_flush: std::time::Duration::from_secs(10),
+            shards: None,
+            env_errors: Vec::new(),
+            ..ExecutorConfig::default()
+        })
+        .run(g)
+        .unwrap();
+        let batches = report
+            .nodes
+            .iter()
+            .find(|n| n.name == "s")
+            .unwrap()
+            .batches_out;
+        (report.sink_count(sink), batches)
+    };
+    let mut rows = [0u64; 2];
+    for e in &evs {
+        rows[key_partition(u64::from(e.id), 2)] += 1;
+    }
+    let want: u64 = rows.iter().map(|r| r.div_ceil(64)).sum();
+    let (count, batches) = run(64);
+    assert_eq!(batches, want, "rows per destination: {rows:?}");
+    assert_eq!(count, run(1).0);
+    assert_eq!(count, evs.len() as u64);
+}
+
+/// Fault-injection table: a keyed join hitting its `memory_limit` —
+/// interval and window joins, single-instance and 2-way sharded, one-row
+/// and 64-row batches, a watermark every 4 events so most batches carry
+/// marks and the failure strikes between two of them — ends the run with
+/// [`asp::OpError::MemoryExhausted`] within 10 s. `Executor::run` joins
+/// every thread before it returns. Neither join evicts before the input
+/// ends (the bound and the window outspan it), so every shard's state
+/// grows past the limit whatever the key placement.
+#[test]
+fn memory_limit_is_a_prompt_typed_error_between_marks() {
+    let factory = |join: &str| -> OperatorFactory {
+        if join == "interval" {
+            Box::new(|_| {
+                Box::new(
+                    IntervalJoinOp::new(
+                        "i⋈",
+                        IntervalBounds::seq(Duration::from_minutes(100_000)),
+                        cross_join(),
+                        TsRule::Max,
+                    )
+                    .with_memory_limit(64 * 1024),
+                )
+            })
+        } else {
+            Box::new(|_| {
+                Box::new(
+                    WindowJoinOp::new(
+                        "w⋈",
+                        SlidingWindows::tumbling(Duration::from_minutes(100_000)),
+                        cross_join(),
+                        TsRule::Max,
+                    )
+                    .with_memory_limit(64 * 1024),
+                )
+            })
+        }
+    };
+    for join in ["interval", "window"] {
+        for shards in [None, Some(2)] {
+            for batch_size in [1usize, 64] {
+                let ctx = format!("join={join} shards={shards:?} batch_size={batch_size}");
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let ids: Vec<u32> = (0..4).collect();
+                    let mut g = GraphBuilder::new();
+                    let src = |etype, g: &mut GraphBuilder, name: &str| {
+                        let cfg =
+                            SourceConfig::new(events(etype, &ids, 0..1000)).with_watermark_every(4);
+                        g.source_with(name, cfg, 1)
+                    };
+                    let a = src(0, &mut g, "a");
+                    let b = src(1, &mut g, "b");
+                    let j = g.binary(a, b, Exchange::Hash, 1, factory(join));
+                    g.shard_node(j);
+                    let _sink = g.counting_sink(j, Exchange::Rebalance);
+                    let result = Executor::new(ExecutorConfig {
+                        batch_size,
+                        shards,
+                        env_errors: Vec::new(),
+                        ..ExecutorConfig::default()
+                    })
+                    .run(g);
+                    let _ = tx.send(result.map(|r| r.source_events));
+                });
+                match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                    Ok(Err(asp::PipelineError::Operator(asp::OpError::MemoryExhausted {
+                        ..
+                    }))) => {}
+                    Ok(other) => panic!("{ctx}: expected a memory-limit error, got {other:?}"),
                     Err(_) => panic!("{ctx}: run did not return within 10 s"),
                 }
             }

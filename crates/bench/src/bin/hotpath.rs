@@ -5,7 +5,7 @@
 //!
 //! Usage: `hotpath [--quick] [--out PATH] [--telemetry PATH] [--explain]
 //! [--assert-keyed-floor] [--assert-columnar-floor] [--assert-shard-floor]
-//! [--assert-multi-floor]`
+//! [--assert-multi-floor] [--assert-batch-efficiency]`
 //! (normally via `scripts/bench_hotpath.sh`). `--quick` shrinks the event
 //! counts and repetitions for CI smoke runs; the headline
 //! `speedup_filter_map_64_vs_1` and
@@ -24,6 +24,12 @@
 //! time-sliced shard workers measure contention, not scaling; the
 //! recorded `cores` field says which regime a JSON artifact
 //! came from).
+//!
+//! `--assert-batch-efficiency` exits nonzero if `hash_fanout_x4`,
+//! `window_join` or `interval_join` at batch 256 realizes less than 0.95
+//! of the configured batch at the source (`batch_efficiency`): punctuation
+//! rides batches as in-band marks, so only end-of-stream partials and idle
+//! hard flushes may shorten a batch.
 //!
 //! `--assert-multi-floor` exits nonzero if the shared-subplan DAG over
 //! 1000 overlapping pattern variants (`multi_patterns`) falls below 3×
@@ -56,13 +62,12 @@ struct Point {
     /// Source-side sustainable throughput, events/second (median of reps).
     throughput_eps: f64,
     /// Mean tuples per channel message the source actually *realized*.
-    /// Under the soft-flush watermark protocol punctuation no longer
-    /// truncates per-destination output buffers — a watermark reaching a
-    /// destination with a partial buffer is *deferred* and rides out right
-    /// after that buffer fills — so buffers flush only when full, on idle
-    /// (hard flush), or at end of stream. Realized batch therefore tracks
-    /// the configured size even across hash fan-out; the residual gap
-    /// comes from end-of-stream partials and idle hard flushes.
+    /// Punctuation never truncates per-destination output buffers — a
+    /// watermark reaching a destination with a partial buffer rides that
+    /// buffer's batch as an in-band mark — so buffers flush only when full,
+    /// on idle (hard flush), or at end of stream. Realized batch therefore
+    /// tracks the configured size even across hash fan-out; the residual
+    /// gap comes from end-of-stream partials and idle hard flushes.
     avg_batch_at_source: f64,
     /// `avg_batch_at_source / batch_size`: the fraction of the configured
     /// batch the pipeline could actually use (1.0 = fully realized).
@@ -545,6 +550,30 @@ fn main() {
              at batch 1 ({amortization:.2}x)"
         );
         std::process::exit(1);
+    }
+    if args.iter().any(|a| a == "--assert-batch-efficiency") {
+        let mut failed = false;
+        for (label, pts) in [
+            ("hash_fanout_x4", &out.hash_fanout_x4),
+            ("window_join", &out.window_join),
+            ("interval_join", &out.interval_join),
+        ] {
+            let eff = pts
+                .iter()
+                .find(|p| p.batch_size == 256)
+                .map(|p| p.batch_efficiency)
+                .expect("swept batch size present");
+            if eff < 0.95 {
+                eprintln!(
+                    "FAIL: {label} at batch 256 realized {eff:.3} of the configured \
+                     batch at the source (floor 0.95)"
+                );
+                failed = true;
+            }
+        }
+        if failed {
+            std::process::exit(1);
+        }
     }
     if args.iter().any(|a| a == "--assert-multi-floor") && multi_speedup < 3.0 {
         eprintln!(

@@ -39,6 +39,13 @@ pub fn write_stream(path: &Path, events: &[Event], reg: &TypeRegistry) -> io::Re
 }
 
 /// Read a stream from CSV, interning unknown type names.
+///
+/// Every field parses strictly as its column's type: `id` as a `u32`,
+/// `ts_ms` as an `i64`, and `lat`, `lon` and `value` as finite floats
+/// (`lat`/`lon` must fit an `f32`). A bad field, a wrong field count, or a
+/// new type name once the registry's id space is exhausted is an
+/// [`io::ErrorKind::InvalidData`] error naming the line; nothing is
+/// silently saturated or truncated.
 pub fn read_stream(path: &Path, reg: &mut TypeRegistry) -> io::Result<Vec<Event>> {
     let r = BufReader::new(File::open(path)?);
     let mut out = Vec::new();
@@ -47,30 +54,49 @@ pub fn read_stream(path: &Path, reg: &mut TypeRegistry) -> io::Result<Vec<Event>
         if lineno == 0 || line.trim().is_empty() {
             continue; // header
         }
-        let parts: Vec<&str> = line.split(',').collect();
-        if parts.len() != 6 {
-            return Err(bad_line(lineno, "expected 6 fields"));
-        }
-        let etype = reg.intern(parts[0]);
-        let parse = |i: usize| -> Result<f64, io::Error> {
-            parts[i]
-                .trim()
-                .parse()
-                .map_err(|_| bad_line(lineno, "numeric field"))
+        let parts: Vec<&str> = line.split(',').map(str::trim).collect();
+        let [tname, id, lat, lon, ts, value] = parts[..] else {
+            return Err(bad_line(lineno, "field count: expected 6".into()));
         };
+        let etype = reg
+            .try_intern(tname)
+            .ok_or_else(|| bad_line(lineno, format!("type `{tname}`: type universe exhausted")))?;
         out.push(Event {
             etype,
-            id: parse(1)? as u32,
-            lat: parse(2)? as f32,
-            lon: parse(3)? as f32,
-            ts: Timestamp(parse(4)? as i64),
-            value: parse(5)?,
+            id: parse_field(lineno, "id", id)?,
+            lat: parse_finite(lineno, "lat", lat)?,
+            lon: parse_finite(lineno, "lon", lon)?,
+            ts: Timestamp(parse_field(lineno, "ts_ms", ts)?),
+            value: parse_finite(lineno, "value", value)?,
         });
     }
     Ok(out)
 }
 
-fn bad_line(lineno: usize, what: &str) -> io::Error {
+/// Parse one field as `T`, naming the column and the raw text on failure.
+fn parse_field<T: std::str::FromStr>(lineno: usize, col: &str, raw: &str) -> io::Result<T> {
+    raw.parse()
+        .map_err(|_| bad_line(lineno, format!("{col} `{raw}`")))
+}
+
+/// Parse one float field, refusing NaN and infinities (including an `f32`
+/// overflow such as `1e300`).
+fn parse_finite<F>(lineno: usize, col: &str, raw: &str) -> io::Result<F>
+where
+    F: std::str::FromStr + Into<f64> + Copy,
+{
+    let x: F = parse_field(lineno, col, raw)?;
+    if x.into().is_finite() {
+        Ok(x)
+    } else {
+        Err(bad_line(
+            lineno,
+            format!("{col} `{raw}`: not a finite number"),
+        ))
+    }
+}
+
+fn bad_line(lineno: usize, what: String) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!("CSV line {}: bad {what}", lineno + 1),
@@ -117,6 +143,55 @@ mod tests {
         let mut reg = types::registry();
         let err = read_stream(&path, &mut reg).unwrap_err().to_string();
         assert!(err.contains("line 2"), "{err}");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn out_of_range_and_non_finite_fields_are_errors() {
+        let dir = std::env::temp_dir().join("cep2asp_csv_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, row) in [
+            "Q,-1,0,0,1000,5.5",
+            "Q,4.7,0,0,1000,5.5",
+            "Q,4294967296,0,0,1000,5.5",
+            "Q,1,0,0,NaN,5.5",
+            "Q,1,0,0,1e300,5.5",
+            "Q,1,0,0,1000.5,5.5",
+            "Q,1,1e300,0,1000,5.5",
+            "Q,1,0,inf,1000,5.5",
+            "Q,1,0,0,1000,NaN",
+        ]
+        .iter()
+        .enumerate()
+        {
+            let path = dir.join(format!("range_{i}.csv"));
+            std::fs::write(
+                &path,
+                format!("type,id,lat,lon,ts_ms,value\nQ,1,0,0,0,1\n{row}\n"),
+            )
+            .unwrap();
+            let mut reg = types::registry();
+            let err = read_stream(&path, &mut reg).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{row}");
+            assert!(err.to_string().contains("line 3"), "{row}: {err}");
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    #[test]
+    fn exhausting_the_type_universe_is_an_error() {
+        let dir = std::env::temp_dir().join("cep2asp_csv_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("many_types_{}.csv", std::process::id()));
+        let mut text = String::from("type,id,lat,lon,ts_ms,value\n");
+        for i in 0..u16::MAX as usize + 1 {
+            text.push_str(&format!("T{i},1,0,0,{i},1\n"));
+        }
+        std::fs::write(&path, text).unwrap();
+        let mut reg = TypeRegistry::new();
+        let err = read_stream(&path, &mut reg).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("type universe exhausted"), "{err}");
         std::fs::remove_file(path).ok();
     }
 

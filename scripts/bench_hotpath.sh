@@ -7,6 +7,7 @@
 # Usage: scripts/bench_hotpath.sh [--quick] [--out PATH] [--telemetry PATH]
 #                                 [--assert-keyed-floor] [--assert-columnar-floor]
 #                                 [--assert-shard-floor] [--assert-multi-floor]
+#                                 [--assert-batch-efficiency]
 #   --quick          smaller event counts / fewer repetitions (CI smoke mode)
 #   --out PATH       output file (default: BENCH_hotpath.json at the repo root)
 #   --telemetry PATH runtime-telemetry export from one instrumented run
@@ -35,6 +36,11 @@
 #                    below 3x the isolated per-pattern pipelines on the
 #                    same workload (the CI gate for the multi-query
 #                    optimizer; best-of-3 interleaved walls per arm)
+#   --assert-batch-efficiency  exit nonzero if hash_fanout_x4, window_join
+#                    or interval_join at batch 256 realizes less than 0.95
+#                    of the configured batch at the source (the CI gate
+#                    for in-band watermark marks: punctuation must not
+#                    split batches)
 #
 # Headline numbers: speedup_filter_map_64_vs_1 (micro-batching acceptance
 # floor 2x), speedup_window_join_keyed_k64_vs_global_scan (key-partitioned

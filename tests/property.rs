@@ -345,11 +345,83 @@ fn arb_psl_text() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Field fragments for CSV fuzzing: valid values next to the ones a lax
+/// reader would saturate or truncate (negative or fractional ids, NaN,
+/// infinities, out-of-range magnitudes), empty fields and non-ASCII text.
+const CSV_FIELDS: [&str; 20] = [
+    "Q",
+    "V",
+    "PM10",
+    "17",
+    "0",
+    "-1",
+    "4.7",
+    "4294967296",
+    "540000",
+    "-540000",
+    "1e300",
+    "NaN",
+    "inf",
+    "-inf",
+    "42.5",
+    "",
+    " 3 ",
+    "é",
+    "😀",
+    "9223372036854775808",
+];
+
+/// Arbitrary CSV file contents: a header line then rows of 0–8 fields
+/// drawn from [`CSV_FIELDS`], or arbitrary bytes (not necessarily UTF-8).
+fn arb_csv_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        proptest::collection::vec(
+            proptest::collection::vec(0usize..CSV_FIELDS.len(), 0..8),
+            0..12,
+        )
+        .prop_map(|rows| {
+            let mut text = String::from("type,id,lat,lon,ts_ms,value\n");
+            for row in rows {
+                let fields: Vec<&str> = row.into_iter().map(|i| CSV_FIELDS[i]).collect();
+                text.push_str(&fields.join(","));
+                text.push('\n');
+            }
+            text.into_bytes()
+        }),
+        proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..96),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 512,
         max_shrink_iters: 200,
     })]
+
+    /// Bad CSV input gets an `io::Error`, never a panic: the reader
+    /// returns on arbitrary lines, including out-of-range numbers and
+    /// invalid UTF-8.
+    #[test]
+    fn csv_reader_never_panics_on_arbitrary_lines(bytes in arb_csv_bytes()) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "cep2asp_csv_fuzz_{}_{}.csv",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, &bytes).expect("write the fuzz input");
+        let mut reg = workloads::registry();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            workloads::csv::read_stream(&path, &mut reg).map(|_| ())
+        }));
+        std::fs::remove_file(&path).ok();
+        prop_assert!(
+            outcome.is_ok(),
+            "CSV reader panicked on {:?}",
+            String::from_utf8_lossy(&bytes)
+        );
+    }
 
     /// Bad pattern text gets a typed error, never a panic: the SEA parser
     /// returns (it may accept an input that happens to be valid) on
