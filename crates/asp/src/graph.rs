@@ -268,8 +268,10 @@ impl GraphBuilder {
         id
     }
 
-    /// Add a collecting sink (always parallelism 1 so output order metrics
-    /// and latency sampling live in one place).
+    /// Add a collecting sink. A sink runs no task: every instance of
+    /// `input` delivers into it on its own thread as it emits, whatever
+    /// the exchange, and its count, latency samples and tuples are pooled
+    /// across those instances. It stays a graph node with parallelism 1.
     pub fn sink(&mut self, input: NodeId, exchange: Exchange) -> SinkId {
         self.sink_with_mode(input, exchange, SinkMode::Collect)
     }
@@ -417,6 +419,24 @@ impl GraphBuilder {
         });
     }
 
+    /// Test support: wrap the operator of node `index`, e.g. to inject a
+    /// fault deep inside a graph built by a planner. Returns `false`, and
+    /// changes nothing, if the node is not an operator.
+    #[doc(hidden)]
+    pub fn wrap_operator(
+        &mut self,
+        index: usize,
+        wrap: impl Fn(Box<dyn Operator>) -> Box<dyn Operator> + Send + 'static,
+    ) -> bool {
+        let Some(NodeKind::Operator(factory)) = self.nodes.get_mut(index).map(|n| &mut n.kind)
+        else {
+            return false;
+        };
+        let inner = std::mem::replace(factory, Box::new(|_| unreachable!("replaced below")));
+        *factory = Box::new(move |i| wrap(inner(i)));
+        true
+    }
+
     /// Test support: overwrite a node's parallelism after construction,
     /// e.g. to break a `Forward` exchange (`G005`) or zero it out (`G007`).
     #[doc(hidden)]
@@ -424,29 +444,19 @@ impl GraphBuilder {
         self.nodes[node.0].parallelism = parallelism;
     }
 
-    /// Per-port upstream parallelism of a node, in port order, plus
-    /// whether the upstream task is a source. Source tasks (with any
-    /// operators fused into them) are exempt from the emission-floor
-    /// contract — an under-estimated `watermark_lag` makes them emit
-    /// tuples behind their own watermark, and `drop_late` at the next
-    /// *operator* task is the documented degradation path — so consumers
-    /// fed straight by a source channel must tolerate late tuples.
-    pub(crate) fn input_channels(&self, node: NodeId) -> Vec<(usize, usize, bool)> {
-        let mut ports: Vec<(usize, usize, bool)> = self
+    /// Upstream parallelism of each input port of a node, in port order.
+    pub(crate) fn input_channels(&self, node: NodeId) -> Vec<usize> {
+        let mut ports: Vec<(usize, usize)> = self
             .edges
             .iter()
             .filter(|e| e.dst == node)
-            .map(|e| {
-                let src = &self.nodes[e.src.0];
-                (
-                    e.port,
-                    src.parallelism,
-                    matches!(src.kind, NodeKind::Source { .. }),
-                )
-            })
+            .map(|e| (e.port, self.nodes[e.src.0].parallelism))
             .collect();
         ports.sort_unstable();
         ports
+            .into_iter()
+            .map(|(_, parallelism)| parallelism)
+            .collect()
     }
 }
 
@@ -477,7 +487,7 @@ mod tests {
         );
         let _s = g.sink(j, Exchange::Forward);
         assert_eq!(g.node_count(), 4);
-        assert_eq!(g.input_channels(j), vec![(0, 1, true), (1, 2, true)]);
+        assert_eq!(g.input_channels(j), vec![1, 2]);
     }
 
     #[test]

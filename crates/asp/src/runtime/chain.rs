@@ -13,7 +13,8 @@
 //! either a `Forward` edge between equal-parallelism nodes, or any edge
 //! between two single-instance nodes; additionally both endpoints must
 //! have no other fan-in/fan-out and the downstream node must be an
-//! operator (sinks keep their own thread for metrics isolation).
+//! operator. Sinks are never fused because they run no task at all: the
+//! runtime delivers into them from their producer's task, chained or not.
 
 use crate::columnar::ColumnarBatch;
 use crate::error::OpError;

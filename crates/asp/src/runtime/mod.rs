@@ -1,11 +1,19 @@
 //! The threaded dataflow runtime.
 //!
-//! Every graph node becomes `parallelism` *instances* ("task slots"), each
-//! running on its own OS thread; every edge becomes one bounded channel per
-//! destination instance. Bounded channels give genuine backpressure: when a
-//! stateful operator cannot keep up, its senders block, the stall cascades
-//! to the sources, and measured throughput is the *maximum sustainable
-//! throughput* in the sense of Karimov et al. — the paper's primary metric.
+//! Every source and operator node becomes `parallelism` *instances* ("task
+//! slots"), each running on its own OS thread; every edge between them
+//! becomes one bounded channel per destination instance. Bounded channels
+//! give genuine backpressure: when a stateful operator cannot keep up, its
+//! senders block, the stall cascades to the sources, and measured
+//! throughput is the *maximum sustainable throughput* in the sense of
+//! Karimov et al. — the paper's primary metric.
+//!
+//! Sinks are not tasks. A sink is a delivery target of each producing
+//! instance's collector: when the producer emits, it adds the rows to the
+//! sink's shared count, stamps every `latency_stride`-th row (counted over
+//! all producers) with its detection latency and, in [`SinkMode::Collect`],
+//! materializes the rows — all on the producer's thread, with no channel
+//! hop and no wait for a partial batch to flush.
 //!
 //! ## Watermark protocol
 //!
@@ -53,8 +61,9 @@
 //! [`BatchSupport::Columnar`] take the batch with `Arc::try_unwrap` (a
 //! copy only while a sibling consumer still holds it) and are driven
 //! batch-at-a-time through [`Operator::process_columnar`]; row-only
-//! operators and collecting sinks read the batch in place and materialize
-//! row-format [`Tuple`]s one at a time (`tuple_at`). Batches on the wire
+//! operators read the batch in place and materialize row-format
+//! [`Tuple`]s one at a time (`tuple_at`), as collecting sinks do with the
+//! batches delivered to them. Batches on the wire
 //! are always dense — selection vectors produced by vectorized filters are
 //! compacted at route flush.
 
@@ -211,8 +220,8 @@ enum Message {
     /// operator's output feeds many consumer pipelines) sends clones of one
     /// `Arc` instead of copying the payload per route. Columnar operators
     /// take ownership on receipt (`Arc::try_unwrap`, cloning only while the
-    /// batch is still referenced elsewhere); row-only operators and sinks
-    /// read it in place.
+    /// batch is still referenced elsewhere); row-only operators read it in
+    /// place.
     Batch {
         rows: Arc<ColumnarBatch>,
         /// In-band watermarks owed on this channel, in emission order:
@@ -297,6 +306,19 @@ struct Route {
     shard: Option<RouteShard>,
     /// Channel messages sent (batches count once), for [`NodeStats`].
     batches: u64,
+    ctx: RouteCtx,
+}
+
+/// What every route of one instance shares.
+#[derive(Clone)]
+struct RouteCtx {
+    /// A destination's pending batch is sent when it reaches this size.
+    batch_size: usize,
+    /// Set when the run fails: a send blocked on a full inbox gives up.
+    abort: Arc<AtomicBool>,
+    /// The owning instance's counters; time blocked on a full inbox
+    /// (backpressure) is charged to [`InstanceStats::backpressure_ns`].
+    istats: Arc<InstanceStats>,
 }
 
 /// Sender-side state of a route into a sharded node.
@@ -323,10 +345,10 @@ impl Route {
     fn new(
         exchange: Exchange,
         port: u16,
-        chan: u16,
         instance: usize,
         senders: Vec<Sender<Envelope>>,
         plan: Option<Arc<shard::ShardPlan>>,
+        ctx: RouteCtx,
     ) -> Self {
         let fixed = match exchange {
             Exchange::Forward => Some(instance % senders.len()),
@@ -351,7 +373,7 @@ impl Route {
         Route {
             exchange,
             port,
-            chan,
+            chan: instance as u16,
             senders,
             rr: instance,
             fixed,
@@ -360,6 +382,7 @@ impl Route {
             op_error: None,
             shard,
             batches: 0,
+            ctx,
         }
     }
 
@@ -394,12 +417,7 @@ impl Route {
     /// thaws: once the plan reports the observed version completed, the
     /// stashed watermark is released through the normal soft path.
     #[inline]
-    fn observe_shard(
-        &mut self,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
+    fn observe_shard(&mut self) -> Result<(), ()> {
         let Some(rs) = &self.shard else {
             return Ok(());
         };
@@ -407,16 +425,11 @@ impl Route {
         if !frozen && version == seen {
             return Ok(());
         }
-        self.observe_shard_cold(batch_size, abort, blocked_ns)
+        self.observe_shard_cold()
     }
 
     #[cold]
-    fn observe_shard_cold(
-        &mut self,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
+    fn observe_shard_cold(&mut self) -> Result<(), ()> {
         // Thaw first: a completed migration releases the stashed watermark
         // before any new version is cut over to.
         let thawed = {
@@ -429,7 +442,7 @@ impl Route {
             }
         };
         if let Some(wm) = thawed {
-            self.soft_watermark_raw(wm, abort, blocked_ns)?;
+            self.soft_watermark_raw(wm)?;
         }
         let rs = self.shard.as_ref().expect("cold path requires shard");
         let version = rs.plan.version();
@@ -440,9 +453,9 @@ impl Route {
         }
         // Everything buffered so far was routed under the old table: it
         // must precede the marker on every channel.
-        self.flush_all(batch_size, abort, blocked_ns)?;
+        self.flush_all()?;
         for idx in 0..self.senders.len() {
-            self.send(idx, Message::ShardMarker { version }, abort, blocked_ns)?;
+            self.send(idx, Message::ShardMarker { version })?;
         }
         let rs = self.shard.as_mut().expect("cold path requires shard");
         rs.cached_slots = rs.plan.snapshot_slots();
@@ -462,13 +475,7 @@ impl Route {
         }
     }
 
-    fn send(
-        &self,
-        idx: usize,
-        msg: Message,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
+    fn send(&self, idx: usize, msg: Message) -> Result<(), ()> {
         let mut env = Envelope {
             port: self.port,
             chan: self.chan,
@@ -486,7 +493,7 @@ impl Route {
             match self.senders[idx].send_timeout(env, StdDuration::from_millis(20)) {
                 Ok(()) => break Ok(()),
                 Err(crossbeam::channel::SendTimeoutError::Timeout(e)) => {
-                    if abort.load(Ordering::Relaxed) {
+                    if self.ctx.abort.load(Ordering::Relaxed) {
                         break Err(());
                     }
                     env = e;
@@ -494,27 +501,24 @@ impl Route {
                 Err(crossbeam::channel::SendTimeoutError::Disconnected(_)) => break Err(()),
             }
         };
-        blocked_ns.fetch_add(blocked_since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.ctx
+            .istats
+            .backpressure_ns
+            .fetch_add(blocked_since.elapsed().as_nanos() as u64, Ordering::Relaxed);
         result
     }
 
     /// Decompose `t` into the destination's pending batch, flushing it
     /// when it reaches `batch_size`.
-    fn buffer_tuple(
-        &mut self,
-        t: Tuple,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
-        self.observe_shard(batch_size, abort, blocked_ns)?;
+    fn buffer_tuple(&mut self, t: Tuple) -> Result<(), ()> {
+        self.observe_shard()?;
         let idx = self.pick_dest(t.key);
         if let Err(e) = self.bufs[idx].push_tuple(t) {
             self.op_error.get_or_insert(e);
             return Err(());
         }
-        if self.bufs[idx].len() >= batch_size {
-            self.flush_buf(idx, batch_size, abort, blocked_ns)
+        if self.bufs[idx].len() >= self.ctx.batch_size {
+            self.flush_buf(idx)
         } else {
             Ok(())
         }
@@ -522,21 +526,14 @@ impl Route {
 
     /// Append a primitive event straight into the destination's pending
     /// columnar batch — the zero-allocation source fast path.
-    fn buffer_event(
-        &mut self,
-        e: Event,
-        wall: u64,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
-        self.observe_shard(batch_size, abort, blocked_ns)?;
+    fn buffer_event(&mut self, e: Event, wall: u64) -> Result<(), ()> {
+        self.observe_shard()?;
         // Primitive events partition by sensor id, as `Tuple::from_event`
         // assigns `key = id`.
         let idx = self.pick_dest(e.id as u64);
         self.bufs[idx].push_event(e, wall);
-        if self.bufs[idx].len() >= batch_size {
-            self.flush_buf(idx, batch_size, abort, blocked_ns)
+        if self.bufs[idx].len() >= self.ctx.batch_size {
+            self.flush_buf(idx)
         } else {
             Ok(())
         }
@@ -545,16 +542,10 @@ impl Route {
     /// Gather-append every selected row of `src` into the destinations'
     /// pending columnar batches (reads `src` by reference: multi-route
     /// fan-out needs no clone; composites transfer by refcount bump).
-    fn append_batch(
-        &mut self,
-        src: &ColumnarBatch,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
-        self.observe_shard(batch_size, abort, blocked_ns)?;
+    fn append_batch(&mut self, src: &ColumnarBatch) -> Result<(), ()> {
+        self.observe_shard()?;
         if self.shard.is_some() {
-            return self.append_batch_sharded(src, batch_size, abort, blocked_ns);
+            return self.append_batch_sharded(src);
         }
         let one = |this: &mut Self, i: usize| -> Result<(), ()> {
             let idx = this.pick_dest(src.key[i]);
@@ -562,8 +553,8 @@ impl Route {
                 this.op_error.get_or_insert(e);
                 return Err(());
             }
-            if this.bufs[idx].len() >= batch_size {
-                this.flush_buf(idx, batch_size, abort, blocked_ns)
+            if this.bufs[idx].len() >= this.ctx.batch_size {
+                this.flush_buf(idx)
             } else {
                 Ok(())
             }
@@ -587,13 +578,7 @@ impl Route {
     /// selection vector per destination shard (slot-table routing) and
     /// gather-append each column-wise — the batch is never re-materialized
     /// row by row.
-    fn append_batch_sharded(
-        &mut self,
-        src: &ColumnarBatch,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
+    fn append_batch_sharded(&mut self, src: &ColumnarBatch) -> Result<(), ()> {
         let mut sels: Vec<Vec<u32>> = vec![Vec::new(); self.senders.len()];
         {
             let rs = self.shard.as_mut().expect("sharded append requires shard");
@@ -623,8 +608,8 @@ impl Route {
                 self.op_error.get_or_insert(e);
                 return Err(());
             }
-            if self.bufs[idx].len() >= batch_size {
-                self.flush_buf(idx, batch_size, abort, blocked_ns)?;
+            if self.bufs[idx].len() >= self.ctx.batch_size {
+                self.flush_buf(idx)?;
             }
         }
         Ok(())
@@ -638,18 +623,12 @@ impl Route {
     /// the watermark lands at the same point of the channel's
     /// tuple/watermark sequence — wall-clock flush timing can change
     /// message granularity, never relative order.
-    fn soft_watermark(
-        &mut self,
-        wm: Timestamp,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
-        self.observe_shard(batch_size, abort, blocked_ns)?;
+    fn soft_watermark(&mut self, wm: Timestamp) -> Result<(), ()> {
+        self.observe_shard()?;
         if self.stash_if_frozen(wm) {
             return Ok(());
         }
-        self.soft_watermark_raw(wm, abort, blocked_ns)
+        self.soft_watermark_raw(wm)
     }
 
     /// While a shard migration this route has cut over to is in flight,
@@ -666,20 +645,12 @@ impl Route {
         }
     }
 
-    fn soft_watermark_raw(
-        &mut self,
-        wm: Timestamp,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
+    fn soft_watermark_raw(&mut self, wm: Timestamp) -> Result<(), ()> {
         let mut ok = Ok(());
         for idx in 0..self.senders.len() {
             let pos = self.bufs[idx].len();
             if pos == 0 {
-                if self
-                    .send(idx, Message::Watermark(wm), abort, blocked_ns)
-                    .is_err()
-                {
+                if self.send(idx, Message::Watermark(wm)).is_err() {
                     ok = Err(());
                 }
             } else {
@@ -697,13 +668,7 @@ impl Route {
     /// Send the destination's pending rows as one message carrying its
     /// owed watermarks as in-band marks, so a flush reproduces the
     /// emission-order interleaving of tuples and watermarks exactly.
-    fn flush_buf(
-        &mut self,
-        idx: usize,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
+    fn flush_buf(&mut self, idx: usize) -> Result<(), ()> {
         let buf = &mut self.bufs[idx];
         if buf.is_empty() {
             debug_assert!(self.wm_owed[idx].is_empty(), "marks ride on buffered rows");
@@ -712,10 +677,10 @@ impl Route {
         debug_assert!(buf.is_dense(), "route buffers are built dense");
         let rows = Arc::new(std::mem::replace(
             buf,
-            ColumnarBatch::with_capacity(batch_size),
+            ColumnarBatch::with_capacity(self.ctx.batch_size),
         ));
         let marks = std::mem::take(&mut self.wm_owed[idx]);
-        self.send_batch(idx, rows, marks, abort, blocked_ns)
+        self.send_batch(idx, rows, marks)
     }
 
     /// Send one tuple-carrying message, counted in [`Route::batches`].
@@ -724,51 +689,39 @@ impl Route {
         idx: usize,
         rows: Arc<ColumnarBatch>,
         marks: Vec<(usize, Timestamp)>,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
     ) -> Result<(), ()> {
         self.batches += 1;
-        self.send(idx, Message::Batch { rows, marks }, abort, blocked_ns)
+        self.send(idx, Message::Batch { rows, marks })
     }
 
-    fn flush_all(
-        &mut self,
-        batch_size: usize,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
+    fn flush_all(&mut self) -> Result<(), ()> {
         let mut ok = Ok(());
         for idx in 0..self.bufs.len() {
-            if self.flush_buf(idx, batch_size, abort, blocked_ns).is_err() {
+            if self.flush_buf(idx).is_err() {
                 ok = Err(());
             }
         }
         ok
     }
 
-    fn broadcast(
-        &self,
-        msg_of: impl Fn() -> Message,
-        abort: &AtomicBool,
-        blocked_ns: &AtomicU64,
-    ) -> Result<(), ()> {
+    fn broadcast(&self, msg_of: impl Fn() -> Message) -> Result<(), ()> {
         for idx in 0..self.senders.len() {
-            self.send(idx, msg_of(), abort, blocked_ns)?;
+            self.send(idx, msg_of())?;
         }
         Ok(())
     }
 }
 
 /// Routes an operator's emissions to all outgoing edges, micro-batching
-/// tuples per destination and coalescing watermarks between flushes.
+/// tuples per destination and coalescing watermarks between flushes, and
+/// delivers them to directly attached sinks on the spot.
 struct ChannelCollector {
     routes: Vec<Route>,
+    /// Sinks fed by this instance. Delivery is immediate and needs no
+    /// watermarks: a sink's merged-watermark check is implied by the
+    /// emission floor, which every emission passes before delivery.
+    sinks: Vec<Arc<SinkShared>>,
     batch_size: usize,
-    abort: Arc<AtomicBool>,
-    /// The owning instance's shared counters; the collector charges
-    /// blocked-on-send time (backpressure) to
-    /// [`InstanceStats::backpressure_ns`].
-    istats: Arc<InstanceStats>,
     out_count: u64,
     failed: bool,
     /// Highest watermark accepted for broadcast but not yet sent. Deferring
@@ -813,23 +766,10 @@ impl ChannelCollector {
     /// Owed watermarks are bounded by the callers' periodic
     /// [`flush_hard`](Self::flush_hard).
     fn flush(&mut self) {
-        let Self {
-            routes,
-            batch_size,
-            abort,
-            istats,
-            failed,
-            pending_wm,
-            ..
-        } = self;
-        let abort: &AtomicBool = abort;
-        let blocked_ns = &istats.backpressure_ns;
-        if let Some(wm) = pending_wm.take() {
-            for r in routes.iter_mut() {
-                if r.soft_watermark(wm, *batch_size, abort, blocked_ns)
-                    .is_err()
-                {
-                    *failed = true;
+        if let Some(wm) = self.pending_wm.take() {
+            for r in &mut self.routes {
+                if r.soft_watermark(wm).is_err() {
+                    self.failed = true;
                 }
             }
         }
@@ -838,41 +778,25 @@ impl ChannelCollector {
     /// Hard flush: send every pending batch (its owed watermarks riding as
     /// marks), then broadcast the coalesced pending watermark.
     fn flush_hard(&mut self) {
-        let Self {
-            routes,
-            batch_size,
-            abort,
-            istats,
-            failed,
-            pending_wm,
-            ..
-        } = self;
-        let abort: &AtomicBool = abort;
-        let blocked_ns = &istats.backpressure_ns;
-        for r in routes.iter_mut() {
+        for r in &mut self.routes {
             // The hard flush doubles as the idle-path shard observation
             // point: even a task with nothing to send cuts over to a new
             // slot table (and broadcasts its marker) within `idle_flush`.
-            if r.observe_shard(*batch_size, abort, blocked_ns).is_err() {
-                *failed = true;
+            if r.observe_shard().is_err() {
+                self.failed = true;
             }
-            if r.flush_all(*batch_size, abort, blocked_ns).is_err() {
-                *failed = true;
+            if r.flush_all().is_err() {
+                self.failed = true;
             }
             r.publish_traffic();
         }
-        if let Some(wm) = pending_wm.take() {
-            for r in routes.iter_mut() {
+        if let Some(wm) = self.pending_wm.take() {
+            for r in &mut self.routes {
                 // Watermarks stay frozen on routes with an in-flight
                 // migration (released at completion); everywhere else the
                 // hard flush broadcasts them directly.
-                if r.stash_if_frozen(wm) {
-                    continue;
-                }
-                if r.broadcast(|| Message::Watermark(wm), abort, blocked_ns)
-                    .is_err()
-                {
-                    *failed = true;
+                if !r.stash_if_frozen(wm) && r.broadcast(|| Message::Watermark(wm)).is_err() {
+                    self.failed = true;
                 }
             }
         }
@@ -883,9 +807,7 @@ impl ChannelCollector {
     fn broadcast_end(&mut self) {
         self.flush_hard();
         for r in &self.routes {
-            if r.broadcast(|| Message::End, &self.abort, &self.istats.backpressure_ns)
-                .is_err()
-            {
+            if r.broadcast(|| Message::End).is_err() {
                 self.failed = true;
             }
         }
@@ -895,21 +817,12 @@ impl ChannelCollector {
     /// batch without materializing a row tuple (no heap traffic).
     fn emit_event(&mut self, e: Event, wall: u64) {
         self.out_count += 1;
-        let Self {
-            routes,
-            batch_size,
-            abort,
-            istats,
-            failed,
-            ..
-        } = self;
-        let abort: &AtomicBool = abort;
-        let blocked_ns = &istats.backpressure_ns;
-        for r in routes.iter_mut() {
-            if r.buffer_event(e, wall, *batch_size, abort, blocked_ns)
-                .is_err()
-            {
-                *failed = true;
+        for s in &self.sinks {
+            s.deliver_one(wall, || Tuple::from_event_wall(e, wall));
+        }
+        for r in &mut self.routes {
+            if r.buffer_event(e, wall).is_err() {
+                self.failed = true;
             }
         }
     }
@@ -934,16 +847,10 @@ impl ChannelCollector {
             return;
         }
         self.out_count += selected as u64;
-        let Self {
-            routes,
-            batch_size,
-            abort,
-            istats,
-            failed,
-            ..
-        } = self;
-        let abort: &AtomicBool = abort;
-        let blocked_ns = &istats.backpressure_ns;
+        for s in &self.sinks {
+            s.deliver_batch(&batch);
+        }
+        let routes = &mut self.routes;
         let n = routes.len();
         if n == 0 {
             return;
@@ -956,36 +863,30 @@ impl ChannelCollector {
         // watermarks via `flush_buf`, so the channel-relative order of
         // tuples and watermarks stays a pure function of emission order.
         if n >= 2
-            && selected >= *batch_size
+            && selected >= self.batch_size
             && routes
                 .iter()
                 .all(|r| r.fixed.is_some() && r.shard.is_none())
         {
             if let Err(e) = batch.compact() {
                 routes[0].op_error.get_or_insert(e);
-                *failed = true;
+                self.failed = true;
                 return;
             }
             let shared = Arc::new(batch);
             for r in routes.iter_mut() {
                 let idx = r.fixed.expect("eligibility checked above");
-                if r.flush_buf(idx, *batch_size, abort, blocked_ns).is_err() {
-                    *failed = true;
-                    continue;
-                }
-                if r.send_batch(idx, shared.clone(), Vec::new(), abort, blocked_ns)
-                    .is_err()
+                if r.flush_buf(idx).is_err()
+                    || r.send_batch(idx, shared.clone(), Vec::new()).is_err()
                 {
-                    *failed = true;
+                    self.failed = true;
                 }
             }
             return;
         }
         for r in routes.iter_mut().take(n - 1) {
-            if r.append_batch(&batch, *batch_size, abort, blocked_ns)
-                .is_err()
-            {
-                *failed = true;
+            if r.append_batch(&batch).is_err() {
+                self.failed = true;
             }
         }
         let last = &mut routes[n - 1];
@@ -995,15 +896,10 @@ impl ChannelCollector {
             if last.bufs[idx].is_empty() {
                 if let Err(e) = batch.compact() {
                     last.op_error.get_or_insert(e);
-                    *failed = true;
-                    return;
-                }
-                if batch.len() >= *batch_size {
-                    if last
-                        .send_batch(idx, Arc::new(batch), Vec::new(), abort, blocked_ns)
-                        .is_err()
-                    {
-                        *failed = true;
+                    self.failed = true;
+                } else if batch.len() >= self.batch_size {
+                    if last.send_batch(idx, Arc::new(batch), Vec::new()).is_err() {
+                        self.failed = true;
                     }
                 } else {
                     // Short batch: it *becomes* the pending buffer.
@@ -1012,11 +908,8 @@ impl ChannelCollector {
                 return;
             }
         }
-        if last
-            .append_batch(&batch, *batch_size, abort, blocked_ns)
-            .is_err()
-        {
-            *failed = true;
+        if last.append_batch(&batch).is_err() {
+            self.failed = true;
         }
     }
 
@@ -1045,35 +938,21 @@ impl Collector for ChannelCollector {
             self.wm_floor
         );
         self.out_count += 1;
-        // Borrow-split so the per-tuple path touches no `Arc` refcount.
-        let Self {
-            routes,
-            batch_size,
-            abort,
-            istats,
-            failed,
-            ..
-        } = self;
-        let abort: &AtomicBool = abort;
-        let blocked_ns = &istats.backpressure_ns;
-        let n = routes.len();
-        if n == 0 {
-            return;
+        for s in &self.sinks {
+            s.deliver_one(tuple.wall, || tuple.clone());
         }
         // Clone for all but the last route; move into the last. The tuple
         // is decomposed into each route's pending column batch.
-        for r in routes.iter_mut().take(n - 1) {
-            if r.buffer_tuple(tuple.clone(), *batch_size, abort, blocked_ns)
-                .is_err()
-            {
-                *failed = true;
+        let Some((last, rest)) = self.routes.split_last_mut() else {
+            return;
+        };
+        for r in rest {
+            if r.buffer_tuple(tuple.clone()).is_err() {
+                self.failed = true;
             }
         }
-        if routes[n - 1]
-            .buffer_tuple(tuple, *batch_size, abort, blocked_ns)
-            .is_err()
-        {
-            *failed = true;
+        if last.buffer_tuple(tuple).is_err() {
+            self.failed = true;
         }
     }
 }
@@ -1166,12 +1045,59 @@ impl InstanceStats {
     }
 }
 
+/// One sink's results, written by every instance that feeds it, each on
+/// its own thread at emission time.
 struct SinkShared {
     mode: SinkMode,
     tuples: Mutex<Vec<Tuple>>,
     count: AtomicU64,
     latencies_ns: Mutex<Vec<u64>>,
-    stride: usize,
+    /// Every `stride`-th delivered row, counted over `count` and so across
+    /// producer instances, is stamped with its detection latency.
+    stride: u64,
+    epoch: Instant,
+}
+
+impl SinkShared {
+    /// Count `n` delivered rows and return the offsets among them whose
+    /// running index falls on the latency stride.
+    fn reserve(&self, n: u64) -> impl Iterator<Item = usize> {
+        let base = self.count.fetch_add(n, Ordering::Relaxed);
+        let first = self.stride - 1 - base % self.stride;
+        (first..n).step_by(self.stride as usize).map(|k| k as usize)
+    }
+
+    /// Record `now − wall` for each sampled row that carries a wall stamp:
+    /// one clock read and one lock per delivery.
+    fn record_latency(&self, walls: impl Iterator<Item = u64>) {
+        let mut walls = walls.filter(|&w| w > 0).peekable();
+        if walls.peek().is_some() {
+            let now = self.epoch.elapsed().as_nanos() as u64;
+            self.latencies_ns
+                .lock()
+                .extend(walls.map(|w| now.saturating_sub(w)));
+        }
+    }
+
+    /// Deliver one row; `tuple` materializes it only in `Collect` mode.
+    fn deliver_one(&self, wall: u64, tuple: impl FnOnce() -> Tuple) {
+        self.record_latency(self.reserve(1).map(|_| wall));
+        if self.mode == SinkMode::Collect {
+            self.tuples.lock().push(tuple());
+        }
+    }
+
+    /// Deliver the selected rows of `b`, read in place.
+    fn deliver_batch(&self, b: &ColumnarBatch) {
+        let row = |k: usize| b.sel.as_ref().map_or(k, |s| s[k] as usize);
+        let n = b.selected_len();
+        self.record_latency(self.reserve(n as u64).map(|k| b.wall[row(k)]));
+        if self.mode == SinkMode::Collect {
+            self.tuples
+                .lock()
+                .extend((0..n).map(|k| b.tuple_at(row(k))));
+        }
+    }
 }
 
 /// Collected results of one pipeline run.
@@ -1422,7 +1348,16 @@ impl Executor {
             graph
         };
         let n_nodes = graph.nodes.len();
-        let n_instances: usize = graph.nodes.iter().map(|n| n.parallelism).sum();
+        // One task per source or operator instance; sinks run none.
+        let tasks: Vec<usize> = graph
+            .nodes
+            .iter()
+            .map(|n| match n.kind {
+                NodeKind::Sink(_) => 0,
+                _ => n.parallelism,
+            })
+            .collect();
+        let n_tasks: usize = tasks.iter().sum();
         let abort = Arc::new(AtomicBool::new(false));
         let first_error: Arc<Mutex<Option<PipelineError>>> = Arc::new(Mutex::new(None));
         let epoch = Instant::now();
@@ -1431,35 +1366,54 @@ impl Executor {
             Level::Info,
             "executor",
             format!(
-                "run started: {n_nodes} nodes, {n_instances} instances, batch_size={}, chaining={}",
+                "run started: {n_nodes} nodes, {n_tasks} task threads, batch_size={}, chaining={}",
                 self.cfg.batch_size, self.cfg.operator_chaining,
             ),
         );
 
-        // Inboxes: one bounded channel per instance.
+        // Inboxes: one bounded channel per task.
         let mut inbox_tx: Vec<Vec<Sender<Envelope>>> = Vec::with_capacity(n_nodes);
         let mut inbox_rx: Vec<Vec<Option<Receiver<Envelope>>>> = Vec::with_capacity(n_nodes);
-        for node in &graph.nodes {
-            let mut txs = Vec::with_capacity(node.parallelism);
-            let mut rxs = Vec::with_capacity(node.parallelism);
-            for _ in 0..node.parallelism {
-                let (tx, rx) = bounded(self.cfg.channel_capacity);
-                txs.push(tx);
-                rxs.push(Some(rx));
-            }
+        for &n in &tasks {
+            let (txs, rxs) = (0..n)
+                .map(|_| {
+                    let (tx, rx) = bounded(self.cfg.channel_capacity);
+                    (tx, Some(rx))
+                })
+                .unzip();
             inbox_tx.push(txs);
             inbox_rx.push(rxs);
         }
 
-        // Routes: per node, the template of its outgoing edges.
-        // route_templates[n] = Vec<(dst, port, exchange)>.
+        // Sinks, by id: each producer instance delivers into them directly.
+        let sink_shared: Vec<Arc<SinkShared>> = graph
+            .sink_modes
+            .iter()
+            .map(|&mode| {
+                Arc::new(SinkShared {
+                    mode,
+                    tuples: Mutex::new(Vec::new()),
+                    count: AtomicU64::new(0),
+                    latencies_ns: Mutex::new(Vec::new()),
+                    stride: self.cfg.latency_stride.max(1) as u64,
+                    epoch,
+                })
+            })
+            .collect();
+
+        // Per node, the template of its outgoing edges: channel routes
+        // `(dst, port, exchange)`, and the sinks it delivers into.
         let mut route_templates: Vec<Vec<(NodeId, usize, Exchange)>> = vec![Vec::new(); n_nodes];
+        let mut sink_targets: Vec<Vec<Arc<SinkShared>>> = vec![Vec::new(); n_nodes];
         for e in &graph.edges {
-            route_templates[e.src.0].push((e.dst, e.port, e.exchange));
+            match graph.nodes[e.dst.0].kind {
+                NodeKind::Sink(sid) => sink_targets[e.src.0].push(sink_shared[sid.0].clone()),
+                _ => route_templates[e.src.0].push((e.dst, e.port, e.exchange)),
+            }
         }
 
-        // Input channel layout per node: (port, upstream parallelism).
-        let input_layout: Vec<Vec<(usize, usize, bool)>> = (0..n_nodes)
+        // Input channel layout per node: upstream parallelism per port.
+        let input_layout: Vec<Vec<usize>> = (0..n_nodes)
             .map(|i| graph.input_channels(NodeId(i)))
             .collect();
 
@@ -1471,24 +1425,12 @@ impl Executor {
             .map(|n| (n.sharded && n.parallelism > 1).then(|| shard::ShardPlan::new(n.parallelism)))
             .collect();
 
-        // Shared stats + sinks.
+        // Shared stats.
         let stats: Vec<Vec<Arc<InstanceStats>>> = graph
             .nodes
             .iter()
             .map(|n| (0..n.parallelism).map(|_| InstanceStats::new()).collect())
             .collect();
-        let mut sink_shared: Vec<Arc<SinkShared>> = Vec::new();
-        for node in &graph.nodes {
-            if let NodeKind::Sink(sid) = node.kind {
-                sink_shared.push(Arc::new(SinkShared {
-                    mode: graph.sink_modes[sid.0],
-                    tuples: Mutex::new(Vec::new()),
-                    count: AtomicU64::new(0),
-                    latencies_ns: Mutex::new(Vec::new()),
-                    stride: self.cfg.latency_stride.max(1),
-                }));
-            }
-        }
 
         let source_events = Arc::new(AtomicU64::new(0));
         let done = Arc::new(AtomicBool::new(false));
@@ -1533,25 +1475,29 @@ impl Executor {
             let parallelism = node.parallelism;
             for instance in 0..parallelism {
                 // Build this instance's routes.
+                let istats = stats[nid][instance].clone();
+                let ctx = RouteCtx {
+                    batch_size: self.cfg.batch_size,
+                    abort: abort.clone(),
+                    istats: istats.clone(),
+                };
                 let routes: Vec<Route> = route_templates[nid]
                     .iter()
                     .map(|(dst, port, exchange)| {
                         Route::new(
                             *exchange,
                             *port as u16,
-                            instance as u16,
                             instance,
                             inbox_tx[dst.0].clone(),
                             shard_plans[dst.0].clone(),
+                            ctx.clone(),
                         )
                     })
                     .collect();
-                let istats = stats[nid][instance].clone();
                 let collector = ChannelCollector {
                     routes,
+                    sinks: sink_targets[nid].clone(),
                     batch_size: self.cfg.batch_size,
-                    abort: abort.clone(),
-                    istats: istats.clone(),
                     out_count: 0,
                     failed: false,
                     pending_wm: None,
@@ -1639,22 +1585,18 @@ impl Executor {
                             })
                             .expect("spawn operator")
                     }
-                    NodeKind::Sink(sid) => {
-                        let shared = sink_shared[sid.0].clone();
-                        let rx = inbox_rx[nid][instance].take().expect("rx unused");
-                        let layout = input_layout[nid].clone();
-                        std::thread::Builder::new()
-                            .name(format!("{name}#{instance}"))
-                            .spawn(move || run_sink(shared, rx, layout, istats, abort, epoch))
-                            .expect("spawn sink")
-                    }
+                    // A sink runs no task: its producers deliver into it.
+                    NodeKind::Sink(_) => continue,
                 };
                 handles.push(handle);
             }
         }
 
-        // Drop our copies of the senders so disconnects propagate.
+        // Drop our copies of the senders so disconnects propagate, and of
+        // the sink handles so each sink's result is uniquely held once the
+        // tasks are joined.
         drop(inbox_tx);
+        drop(sink_targets);
 
         let mut panic_msg = None;
         for h in handles {
@@ -1706,10 +1648,14 @@ impl Executor {
             .map(|(nid, node)| NodeStats {
                 name: node.name.clone(),
                 parallelism: node.parallelism,
-                records_in: stats[nid]
-                    .iter()
-                    .map(|s| s.records_in.load(Ordering::Relaxed))
-                    .sum(),
+                records_in: match node.kind {
+                    // A sink's input is what its producers delivered.
+                    NodeKind::Sink(sid) => sink_shared[sid.0].count.load(Ordering::Relaxed),
+                    _ => stats[nid]
+                        .iter()
+                        .map(|s| s.records_in.load(Ordering::Relaxed))
+                        .sum(),
+                },
                 records_out: stats[nid]
                     .iter()
                     .map(|s| s.records_out.load(Ordering::Relaxed))
@@ -2024,11 +1970,11 @@ struct WatermarkTable {
 }
 
 impl WatermarkTable {
-    fn new(layout: &[(usize, usize, bool)]) -> Self {
+    fn new(layout: &[usize]) -> Self {
         let mut wm = Vec::new();
         let mut ended = Vec::new();
         let mut live = 0;
-        for (_port, chans, _exempt) in layout {
+        for chans in layout {
             wm.push(vec![Timestamp::MIN; *chans]);
             ended.push(vec![false; *chans]);
             live += *chans;
@@ -2101,7 +2047,7 @@ struct OpClock {
 }
 
 impl OpClock {
-    fn new(layout: &[(usize, usize, bool)]) -> Self {
+    fn new(layout: &[usize]) -> Self {
         OpClock {
             table: WatermarkTable::new(layout),
             current: Timestamp::MIN,
@@ -2419,7 +2365,7 @@ enum Step {
 fn run_operator(
     mut op: Box<dyn Operator>,
     rx: Receiver<Envelope>,
-    layout: Vec<(usize, usize, bool)>,
+    layout: Vec<usize>,
     mut collector: ChannelCollector,
     istats: Arc<InstanceStats>,
     abort: Arc<AtomicBool>,
@@ -2677,97 +2623,4 @@ fn run_operator(
             collector.out_count
         ),
     );
-}
-
-fn run_sink(
-    shared: Arc<SinkShared>,
-    rx: Receiver<Envelope>,
-    layout: Vec<(usize, usize, bool)>,
-    istats: Arc<InstanceStats>,
-    abort: Arc<AtomicBool>,
-    epoch: Instant,
-) {
-    let mut table = WatermarkTable::new(&layout);
-    let mut sink_wm = Timestamp::MIN;
-    let mut n: u64 = 0;
-    let mut rounds: u64 = 0;
-    loop {
-        if abort.load(Ordering::Relaxed) {
-            break;
-        }
-        let env = match rx.recv_timeout(StdDuration::from_millis(20)) {
-            Ok(env) => env,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        // Strided inbox-depth observation: one channel-lock acquisition
-        // per 64 envelopes keeps the gauge off the per-message path.
-        rounds += 1;
-        if rounds % 64 == 0 {
-            istats.note_queue_depth(rx.len());
-        }
-        let (port, chan) = (env.port as usize, env.chan as usize);
-        match env.msg {
-            // One atomic add per batch; rows are materialized only in
-            // Collect mode. The batch is read by reference, so shared
-            // fan-out batches are consumed without a clone.
-            Message::Batch { rows: b, marks } => {
-                shared.count.fetch_add(b.len() as u64, Ordering::Relaxed);
-                // Sink-side event-time monotonicity: a tuple behind the
-                // merged watermark means some upstream task emitted late
-                // data the watermark protocol had already sealed off. The
-                // emission-floor contract only binds operator tasks: ports
-                // fed straight by a source task are exempt, because sources
-                // — including chains fused into them — legitimately emit
-                // behind their own watermark when `watermark_lag`
-                // under-estimates disorder, and only the next *operator*
-                // task applies `drop_late`; a sink wired directly after one
-                // has no such shield by design.
-                #[cfg(feature = "invariant-checks")]
-                let enforce_floor = !layout[port].2;
-                // Marks apply positionally, so each row is checked against
-                // the merged clock in force at its offset.
-                let mut marks = marks.into_iter().peekable();
-                for i in 0..b.len() {
-                    while let Some((_, ts)) = marks.next_if(|&(p, _)| p <= i) {
-                        sink_wm = sink_wm.max(table.advance(port, chan, ts));
-                    }
-                    n += 1;
-                    #[cfg(feature = "invariant-checks")]
-                    assert!(
-                        !enforce_floor || b.ts[i] >= sink_wm,
-                        "invariant violation: sink received tuple at {:?} behind merged watermark {sink_wm:?}",
-                        b.ts[i]
-                    );
-                    if b.wall[i] > 0 && n % shared.stride as u64 == 0 {
-                        let now = epoch.elapsed().as_nanos() as u64;
-                        shared
-                            .latencies_ns
-                            .lock()
-                            .push(now.saturating_sub(b.wall[i]));
-                    }
-                    if shared.mode == SinkMode::Collect {
-                        shared.tuples.lock().push(b.tuple_at(i));
-                    }
-                }
-                for (_, ts) in marks {
-                    sink_wm = sink_wm.max(table.advance(port, chan, ts));
-                }
-            }
-            Message::Watermark(ts) => {
-                sink_wm = sink_wm.max(table.advance(port, chan, ts));
-            }
-            // Shard protocol traffic never reaches sinks (sinks are not
-            // sharded); tolerate it rather than crash a teardown race.
-            Message::ShardMarker { .. } | Message::ShardHandoff(_) => {}
-            Message::End => {
-                table.end(port, chan);
-                if table.all_ended() {
-                    break;
-                }
-            }
-        }
-    }
-    istats.note_queue_depth(rx.len());
-    istats.records_in.fetch_add(n, Ordering::Relaxed);
 }

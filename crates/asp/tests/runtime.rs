@@ -617,3 +617,186 @@ fn memory_limit_is_a_prompt_typed_error_between_marks() {
         }
     }
 }
+
+/// Sinks are delivery targets of their producers' collectors, not tasks:
+/// every emission reaches the sink on the producing thread. Three ways of
+/// feeding `Collect` sinks — a parallelism-2 producer over `Rebalance`, a
+/// paced and an unpaced source directly (plus a count-only twin on the
+/// unpaced one), and one row-path node fanning out to three sinks — run
+/// with chaining on and off at batch sizes 1 and 64. Each sink holds
+/// exactly the reference multiset (the input, filtered where the topology
+/// filters), has ⌊count / stride⌋ latency samples with the stride counted
+/// across producer instances, reports its delivered count as the sink
+/// node's `records_in`, and the run spawns one task thread per source or
+/// operator instance and none per sink.
+#[test]
+fn sinks_are_fed_on_the_producer_thread() {
+    use asp::graph::{SinkId, SinkMode};
+    const STRIDE: usize = 3;
+    let evs = events(0, &[0, 1, 2, 3], 0..100);
+    let keep = |t: &Tuple| (t.events[0].value as i64) % 3 != 0;
+    let all: Vec<Tuple> = evs.iter().copied().map(Tuple::from_event).collect();
+    let kept: Vec<Tuple> = all.iter().filter(|t| keep(t)).cloned().collect();
+    let filter = move || -> OperatorFactory {
+        Box::new(move |_| Box::new(FilterOp::new("σ", Arc::new(keep))))
+    };
+    // (name, graph, sinks with their references, task threads with
+    // chaining on and off)
+    type Case = (
+        &'static str,
+        GraphBuilder,
+        Vec<(SinkId, Vec<Tuple>)>,
+        [usize; 2],
+    );
+    let cases = || -> Vec<Case> {
+        let mut out: Vec<Case> = Vec::new();
+
+        let mut g = GraphBuilder::new();
+        let src = g.source("s", evs.clone(), 1);
+        let m = g.unary(
+            src,
+            Exchange::Rebalance,
+            2,
+            Box::new(|_| Box::new(MapOp::identity("id"))),
+        );
+        let sink = g.sink(m, Exchange::Rebalance);
+        out.push(("rebalance_p2", g, vec![(sink, all.clone())], [3, 3]));
+
+        let mut g = GraphBuilder::new();
+        let src = g.source_with("s", SourceConfig::new(evs.clone()).with_rate(40_000.0), 1);
+        let sink = g.sink(src, Exchange::Forward);
+        out.push(("paced_source", g, vec![(sink, all.clone())], [1, 1]));
+
+        let mut g = GraphBuilder::new();
+        let src = g.source("s", evs.clone(), 1);
+        let sink = g.sink(src, Exchange::Forward);
+        let count_only = g.sink_with_mode(src, Exchange::Forward, SinkMode::CountOnly);
+        out.push((
+            "unpaced_source",
+            g,
+            vec![(sink, all.clone()), (count_only, Vec::new())],
+            [1, 1],
+        ));
+
+        let mut g = GraphBuilder::new();
+        let src = g.source("s", evs.clone(), 1);
+        let f = g.unary(src, Exchange::Forward, 1, filter());
+        let sinks = (0..3)
+            .map(|_| (g.sink(f, Exchange::Forward), kept.clone()))
+            .collect();
+        out.push(("fan_out_3", g, sinks, [1, 2]));
+        out
+    };
+    for chaining in [true, false] {
+        for batch_size in [1usize, 64] {
+            for (name, g, sinks, tasks) in cases() {
+                let ctx = format!("{name} chaining={chaining} batch_size={batch_size}");
+                let report = Executor::new(ExecutorConfig {
+                    operator_chaining: chaining,
+                    batch_size,
+                    latency_stride: STRIDE,
+                    shards: None,
+                    env_errors: Vec::new(),
+                    ..ExecutorConfig::default()
+                })
+                .run(g)
+                .unwrap();
+                // Each case lists all of its sinks in creation order, and
+                // sink `i` is named `sink{i}`.
+                for (i, (sink, want)) in sinks.iter().enumerate() {
+                    let count = report.sink_count(*sink);
+                    if want.is_empty() {
+                        assert!(report.sink(*sink).is_empty(), "{ctx}: count-only sink");
+                        assert_eq!(count, all.len() as u64, "{ctx}: count-only count");
+                    } else {
+                        assert_eq!(sorted_keys(report.sink(*sink)), sorted_keys(want), "{ctx}");
+                        assert_eq!(count, want.len() as u64, "{ctx}");
+                    }
+                    assert_eq!(
+                        report.latency(*sink).samples,
+                        count as usize / STRIDE,
+                        "{ctx}: latency samples"
+                    );
+                    let name = format!("sink{i}");
+                    let stats = report.nodes.iter().find(|n| n.name == name).unwrap();
+                    assert_eq!(stats.records_in, count, "{ctx}: sink records_in");
+                }
+                let started = report
+                    .events
+                    .iter()
+                    .find(|e| e.task == "executor" && e.message.starts_with("run started"))
+                    .unwrap();
+                let want_tasks = tasks[usize::from(!chaining)];
+                assert!(
+                    started
+                        .message
+                        .contains(&format!(", {want_tasks} task threads,")),
+                    "{ctx}: {}",
+                    started.message
+                );
+            }
+        }
+    }
+}
+
+/// Fault injection for the sink hop: sinks are fed on the producer's
+/// thread, so an operator that panics after its first rows reached a
+/// directly attached sink is the failing-sink case. Fused into the source
+/// (chaining on) or in its own task (chaining off), with a collecting and
+/// a count-only sink, the run must return [`asp::PipelineError::WorkerPanic`]
+/// within 10 s.
+#[test]
+fn panic_beside_a_sink_is_a_prompt_worker_panic() {
+    struct PanicAt(u64);
+    impl asp::operator::Operator for PanicAt {
+        fn process(
+            &mut self,
+            _input: usize,
+            tuple: Tuple,
+            out: &mut dyn asp::operator::Collector,
+        ) -> Result<(), asp::OpError> {
+            self.0 -= 1;
+            assert!(self.0 > 0, "injected panic beside a sink");
+            out.emit(tuple);
+            Ok(())
+        }
+        fn name(&self) -> &str {
+            "panic_at"
+        }
+    }
+    for chaining in [true, false] {
+        for batch_size in [1usize, 64] {
+            let ctx = format!("chaining={chaining} batch_size={batch_size}");
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut g = GraphBuilder::new();
+                let src = g.source("s", events(0, &[1, 2], 0..500), 1);
+                let p = g.unary(
+                    src,
+                    Exchange::Forward,
+                    1,
+                    Box::new(|_| Box::new(PanicAt(100))),
+                );
+                let _collect = g.sink(p, Exchange::Forward);
+                let _count = g.counting_sink(p, Exchange::Forward);
+                let result = Executor::new(ExecutorConfig {
+                    operator_chaining: chaining,
+                    batch_size,
+                    channel_capacity: 4,
+                    shards: None,
+                    env_errors: Vec::new(),
+                    ..ExecutorConfig::default()
+                })
+                .run(g);
+                let _ = tx.send(result.map(|r| r.source_events));
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok(Err(asp::PipelineError::WorkerPanic(msg))) => {
+                    assert!(msg.contains("injected panic"), "{ctx}: {msg}")
+                }
+                Ok(other) => panic!("{ctx}: expected a worker panic, got {other:?}"),
+                Err(_) => panic!("{ctx}: run did not return within 10 s"),
+            }
+        }
+    }
+}

@@ -16,7 +16,8 @@
 //! Kleene+ `ITER(V v, 5+)`, negation `SEQ(Q a, NOT V n, PM b)`, and
 //! arbitrary nesting of `SEQ`/`AND`/`OR`. Predicates compare
 //! `var.attr` with another `var.attr` or a numeric literal using
-//! `< <= > >= == !=`.
+//! `< <= > >= == !=`. The `k`-th occurrence of an iteration `ITER(V v, m)`
+//! is `v[k]` (1-based; plain `v` is `v[1]`).
 
 use std::fmt;
 
@@ -56,6 +57,8 @@ enum Tok {
     Cmp(CmpOp),
     LParen,
     RParen,
+    LBracket,
+    RBracket,
     Comma,
     Dot,
     Plus,
@@ -76,6 +79,14 @@ fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
             }
             ')' => {
                 toks.push(Tok::RParen);
+                i += 1;
+            }
+            '[' => {
+                toks.push(Tok::LBracket);
+                i += 1;
+            }
+            ']' => {
+                toks.push(Tok::RBracket);
                 i += 1;
             }
             ',' => {
@@ -112,8 +123,12 @@ fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
                     return Err(ParseError(format!("unexpected character `{c}`")));
                 }
             }
-            c if c.is_ascii_digit() => {
+            // A literal, negative when `-` directly precedes its digits.
+            c if c.is_ascii_digit()
+                || (c == '-' && b.get(i + 1).is_some_and(u8::is_ascii_digit)) =>
+            {
                 let start = i;
+                i += 1;
                 while i < b.len() && (b[i].is_ascii_digit() || b[i] == b'.') {
                     // A digit followed by '.' then non-digit is `N .attr`? —
                     // numbers here are plain literals; `var.attr` always
@@ -274,6 +289,9 @@ impl<'a> Parser<'a> {
             } else {
                 names.push((leaf.var_name.clone(), leaf.var));
             }
+        }
+        for (leaf, m) in iterations(&expr_s) {
+            names.extend((1..=m).map(|k| (format!("{}[{k}]", leaf.var_name), leaf.var + k - 1)));
         }
 
         // Split WHERE terms: bound-variable terms become positional
@@ -461,7 +479,13 @@ impl<'a> Parser<'a> {
     fn operand(&mut self) -> Result<RawOperand, ParseError> {
         match self.next()? {
             Tok::Number(n) => Ok(RawOperand::Const(n)),
-            Tok::Ident(name) => {
+            Tok::Ident(mut name) => {
+                if self.peek() == Some(&Tok::LBracket) {
+                    self.expect(&Tok::LBracket)?;
+                    let k = self.number()?;
+                    self.expect(&Tok::RBracket)?;
+                    name = format!("{name}[{k}]");
+                }
                 self.expect(&Tok::Dot)?;
                 let attr_name = self.ident()?;
                 let attr = Attr::parse(&attr_name.to_ascii_lowercase())
@@ -773,16 +797,31 @@ fn render_expr(expr: &PatternExpr, out: &mut String) {
     }
 }
 
+/// Every `ITER` leaf of `expr` with its occurrence count.
+fn iterations(expr: &PatternExpr) -> Vec<(&Leaf, usize)> {
+    match expr {
+        PatternExpr::Iter { leaf, m, .. } => vec![(leaf, *m)],
+        PatternExpr::Seq(parts) | PatternExpr::And(parts) | PatternExpr::Or(parts) => {
+            parts.iter().flat_map(iterations).collect()
+        }
+        PatternExpr::Leaf(_) | PatternExpr::NegSeq { .. } => Vec::new(),
+    }
+}
+
 fn render_pred(p: &Predicate, pattern: &Pattern) -> String {
     use crate::predicate::Expr as PExpr;
     let name_of = |v: usize| {
-        pattern
-            .expr
-            .leaves()
-            .iter()
-            .find(|l| l.var == v)
-            .map(|l| l.var_name.clone())
-            .unwrap_or_else(|| format!("e{}", v + 1))
+        let leaves = pattern.expr.leaves();
+        if let Some(l) = leaves.iter().find(|l| l.var == v) {
+            return l.var_name.clone();
+        }
+        match iterations(&pattern.expr)
+            .into_iter()
+            .find(|(l, m)| (l.var..l.var + m).contains(&v))
+        {
+            Some((l, _)) => format!("{}[{}]", l.var_name, v - l.var + 1),
+            None => format!("e{}", v + 1),
+        }
     };
     let side = |e: &PExpr| match e {
         PExpr::Var(v, a) => format!("{}.{}", name_of(*v), a),
@@ -863,6 +902,30 @@ mod roundtrip_tests {
     fn iter_and_kleene_round_trip() {
         assert_round_trips(&builders::iter(V, "V", 4, WindowSpec::minutes(9), vec![]));
         assert_round_trips(&builders::kleene_plus(V, "V", 3, WindowSpec::minutes(9)));
+    }
+
+    #[test]
+    fn iteration_occurrences_and_negative_constants_round_trip() {
+        use crate::predicate::CmpOp;
+        let p = builders::iter(
+            V,
+            "V",
+            3,
+            WindowSpec::minutes(9),
+            vec![
+                Predicate::threshold(2, Attr::Value, CmpOp::Ge, -2.5),
+                Predicate::cross(0, Attr::Value, CmpOp::Lt, 1, Attr::Value),
+                Predicate::cross(1, Attr::Value, CmpOp::Lt, 2, Attr::Value),
+            ],
+        );
+        assert!(to_psl(&p).contains("v[3].value >= -2.5"), "{}", to_psl(&p));
+        assert_round_trips(&p);
+        let mut reg = registry();
+        let err = parse(
+            "PATTERN ITER(V v, 3) WHERE v[4].value < 1 WITHIN 5 MINUTES",
+            &mut reg,
+        );
+        assert!(err.is_err_and(|e| e.0.contains("unknown variable `v[4]`")));
     }
 
     #[test]

@@ -257,3 +257,158 @@ fn sharing_composes_with_sharded_keyed_joins() {
         );
     }
 }
+
+/// Delegates to the wrapped operator and fails with
+/// [`asp::OpError::Failed`] at its `k`-th input tuple, whether the tuples
+/// arrive one by one or as a columnar batch.
+struct FailAt {
+    inner: Box<dyn asp::operator::Operator>,
+    left: u64,
+}
+
+impl FailAt {
+    fn count(&mut self, n: usize) -> Result<(), asp::OpError> {
+        self.left = self.left.saturating_sub(n as u64);
+        if self.left == 0 {
+            return Err(asp::OpError::Failed {
+                operator: "fail_at".to_string(),
+                reason: "injected failure".to_string(),
+            });
+        }
+        Ok(())
+    }
+}
+
+impl asp::operator::Operator for FailAt {
+    fn process(
+        &mut self,
+        input: usize,
+        tuple: asp::tuple::Tuple,
+        out: &mut dyn asp::operator::Collector,
+    ) -> Result<(), asp::OpError> {
+        self.count(1)?;
+        self.inner.process(input, tuple, out)
+    }
+    fn batch_support(&self) -> asp::operator::BatchSupport {
+        self.inner.batch_support()
+    }
+    fn process_columnar(
+        &mut self,
+        input: usize,
+        batch: &mut asp::columnar::ColumnarBatch,
+    ) -> Result<(), asp::OpError> {
+        self.count(batch.selected_len())?;
+        self.inner.process_columnar(input, batch)
+    }
+    fn on_watermark(
+        &mut self,
+        wm: Timestamp,
+        out: &mut dyn asp::operator::Collector,
+    ) -> Result<Timestamp, asp::OpError> {
+        self.inner.on_watermark(wm, out)
+    }
+    fn on_finish(&mut self, out: &mut dyn asp::operator::Collector) -> Result<(), asp::OpError> {
+        self.inner.on_finish(out)
+    }
+    fn state_bytes(&self) -> usize {
+        self.inner.state_bytes()
+    }
+    fn name(&self) -> &str {
+        "fail_at"
+    }
+}
+
+/// Fault injection inside a multi-pattern DAG: the first operator of a
+/// `build_multi_pipeline` graph (a scan every pattern reads when sharing
+/// is on, one pattern's own scan when it is off) fails at its 50th tuple.
+/// With sharing on and off, at batch sizes 1 and 64, the run must return
+/// [`asp::PipelineError::Operator`] within 10 s while the rest of the DAG
+/// and its sinks are live.
+#[test]
+fn operator_failure_inside_a_shared_dag_is_a_prompt_typed_error() {
+    let events: Vec<Event> = (0..60i64)
+        .flat_map(|m| {
+            (0..3u32).flat_map(move |id| {
+                (0..3u16).map(move |t| {
+                    Event::new(
+                        EventType(t),
+                        id,
+                        Timestamp::from_minutes(m),
+                        ((m * 7 + id as i64 + t as i64) % 50) as f64,
+                    )
+                })
+            })
+        })
+        .collect();
+    let sources = split_by_type(&events);
+    let specs = [
+        PatSpec {
+            and: false,
+            first: 0,
+            window_minutes: 5,
+            threshold: None,
+            same_id: false,
+        },
+        PatSpec {
+            and: true,
+            first: 0,
+            window_minutes: 5,
+            threshold: Some((true, 30)),
+            same_id: true,
+        },
+        PatSpec {
+            and: false,
+            first: 1,
+            window_minutes: 3,
+            threshold: None,
+            same_id: true,
+        },
+    ];
+    let plans: Vec<cep2asp::LogicalPlan> = specs
+        .iter()
+        .map(|s| {
+            let (p, o) = s.build();
+            cep2asp::translate(&p, &o).unwrap()
+        })
+        .collect();
+    let named: Vec<(&str, &cep2asp::LogicalPlan)> = plans.iter().map(|p| ("p", p)).collect();
+    for share in [true, false] {
+        for batch_size in [1usize, 64] {
+            let ctx = format!("share={share} batch_size={batch_size}");
+            let mut built = cep2asp::build_multi_pipeline(
+                &named,
+                &shared_catalog(&sources),
+                &PhysicalConfig::default(),
+                share,
+            )
+            .unwrap();
+            let first_op = (0..built.graph.node_count())
+                .find(|&i| {
+                    built
+                        .graph
+                        .wrap_operator(i, |inner| Box::new(FailAt { inner, left: 50 }))
+                })
+                .expect("the DAG has an operator");
+            let (tx, rx) = std::sync::mpsc::channel();
+            let graph = built.graph;
+            std::thread::spawn(move || {
+                let result = asp::runtime::Executor::new(ExecutorConfig {
+                    batch_size,
+                    channel_capacity: 4,
+                    ..ExecutorConfig::default()
+                })
+                .run(graph);
+                let _ = tx.send(result.map(|r| r.source_events));
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok(Err(asp::PipelineError::Operator(asp::OpError::Failed {
+                    operator, ..
+                }))) => {
+                    assert_eq!(operator, "fail_at", "{ctx} (node {first_op})")
+                }
+                Ok(other) => panic!("{ctx}: expected an operator error, got {other:?}"),
+                Err(_) => panic!("{ctx}: run did not return within 10 s"),
+            }
+        }
+    }
+}

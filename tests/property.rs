@@ -435,3 +435,117 @@ proptest! {
         prop_assert!(outcome.is_ok(), "parser panicked on {:?}", text);
     }
 }
+
+/// Name every leaf type `T<id>`, so a registry interning `T0, T1, …` in
+/// order maps each rendered name back to its original [`EventType`] (the
+/// builders reuse display names such as `A`/`B` for different types).
+fn name_types_by_id(e: &mut sea::pattern::PatternExpr) {
+    use sea::pattern::PatternExpr as E;
+    let name = |l: &mut Leaf| l.type_name = format!("T{}", l.etype.0);
+    match e {
+        E::Leaf(l) | E::Iter { leaf: l, .. } => name(l),
+        E::Seq(parts) | E::And(parts) | E::Or(parts) => parts.iter_mut().for_each(name_types_by_id),
+        E::NegSeq {
+            first,
+            absent,
+            last,
+        } => [first, absent, last].into_iter().for_each(name),
+    }
+}
+
+/// Render `p` with [`sea::parser::to_psl`], parse the text back, and
+/// translate both under `opts`: the canonical keys of the two plans (or
+/// the two translation errors) must agree.
+fn assert_psl_round_trip(
+    p: &Pattern,
+    opts: &MapperOptions,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut named = p.clone();
+    name_types_by_id(&mut named.expr);
+    let text = sea::parser::to_psl(&named);
+    let mut reg = asp::event::TypeRegistry::new();
+    let top = p.expr.input_types().iter().map(|t| t.0).max().unwrap_or(0);
+    for t in 0..=top {
+        reg.intern(&format!("T{t}"));
+    }
+    let parsed = sea::parser::parse(&text, &mut reg).map_err(|e| {
+        proptest::test_runner::TestCaseError::Fail(format!("{text:?} does not parse back: {e}"))
+    })?;
+    let key = |p: &Pattern| {
+        cep2asp::translate(p, opts)
+            .map(|plan| cep2asp::canonical_key(&plan.root))
+            .map_err(|e| e.to_string())
+    };
+    prop_assert_eq!(key(&parsed), key(p), "round trip of {:?}", text);
+    Ok(())
+}
+
+/// Every evaluation pattern under every mapper-option variant, and all
+/// 1000 multi-pattern catalog variants under their own options, survive
+/// print → parse with an unchanged canonical plan.
+#[test]
+fn psl_round_trip_keeps_suite_and_catalog_plans() {
+    for (name, p) in bench::preflight::pattern_suite() {
+        for (variant, opts) in bench::preflight::option_variants() {
+            assert_psl_round_trip(&p, &opts)
+                .unwrap_or_else(|e| panic!("{name} under {variant}: {e:?}"));
+        }
+    }
+    for job in bench::multi::variant_catalog(1000) {
+        assert_psl_round_trip(&job.pattern, &job.opts)
+            .unwrap_or_else(|e| panic!("{}: {e:?}", job.name));
+    }
+}
+
+/// A random 2–3 leaf SEQ or AND over four types, with optional value
+/// thresholds on its leaves and an optional same-id predicate.
+fn arb_seq_and_pattern() -> impl Strategy<Value = Pattern> {
+    (
+        any::<bool>(),
+        proptest::collection::vec(0u16..4, 2..4),
+        1i64..30,
+        proptest::collection::vec((any::<bool>(), any::<bool>(), -1_000i32..100_000), 3..4),
+        (any::<bool>(), 0usize..2),
+    )
+        .prop_map(|(and, types, w, thresholds, same_id)| {
+            let leaves: Vec<(EventType, &str)> =
+                types.iter().map(|&t| (EventType(t), "T")).collect();
+            let mut preds: Vec<Predicate> = thresholds
+                .iter()
+                .take(leaves.len())
+                .enumerate()
+                .filter(|(_, &(present, _, _))| present)
+                .map(|(i, &(_, le, c))| {
+                    let op = if le { CmpOp::Le } else { CmpOp::Ge };
+                    Predicate::threshold(i, Attr::Value, op, f64::from(c) / 1000.0)
+                })
+                .collect();
+            if let (true, i) = same_id {
+                let i = i.min(leaves.len() - 2);
+                preds.push(Predicate::same_id(i, i + 1));
+            }
+            let window = WindowSpec::minutes(w);
+            if and {
+                builders::and(&leaves, window, preds)
+            } else {
+                builders::seq(&leaves, window, preds)
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 128,
+        max_shrink_iters: 200,
+    })]
+
+    /// Generated SEQ/AND patterns with threshold and same-id predicates
+    /// survive print → parse with an unchanged canonical plan under every
+    /// mapper-option variant.
+    #[test]
+    fn psl_round_trip_keeps_generated_plans(p in arb_seq_and_pattern()) {
+        for (_, opts) in bench::preflight::option_variants() {
+            assert_psl_round_trip(&p, &opts)?;
+        }
+    }
+}
